@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .corpus import (
     UNKNOWN_ID,
@@ -18,13 +17,13 @@ from .corpus import (
     load_annotations,
     load_parallel_corpus,
     occurrence_stats,
-    read_token_lines,
     split_annotated,
     split_unannotated,
 )
 from .errors import DataFormatError, TuningError, UnknownTokenError
 from .evaluation import evaluate_corpus
-from .model import read_table, viterbi_align, write_table
+from .experiment import ExperimentSpec, report_text, report_tsv, run_experiment
+from .model import TranslationTable, read_table, viterbi_align, write_table
 from .objectives import OBJECTIVE_NAMES, DevSet, Objective
 from .smoothing import STRATEGY_NAMES, make_strategy
 from .trainer import TrainConfig, train
@@ -144,32 +143,40 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_onto_table(args, table: TranslationTable) -> ParallelCorpus:
+    """Load the corpus files with word ids taken from the table's vocabularies.
+
+    A model numbers its words in the order of its own training corpus, so
+    the corpus's own ids would look up the wrong entries.  Words the model
+    has never seen get UNKNOWN_ID, which scores zero, and one warning each
+    on stderr.
+    """
+    corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
+
+    def id_map(own, model, side):
+        ids = []
+        for word in own.words:
+            wid = model.get(word)
+            if wid == UNKNOWN_ID:
+                print(f"warning: {side} token {word!r} not in model vocabulary", file=sys.stderr)
+            ids.append(wid)
+        return ids
+
+    source_ids = id_map(corpus.source_vocab, table.source_vocab, "source")
+    target_ids = id_map(corpus.target_vocab, table.target_vocab, "target")
+    pairs = [
+        SentencePair(tuple(source_ids[e] for e in pair.source),
+                     tuple(target_ids[f] for f in pair.target))
+        for pair in corpus.pairs
+    ]
+    return ParallelCorpus(pairs, table.source_vocab, table.target_vocab)
+
+
 def cmd_align(args) -> int:
     table, _ = read_table(args.model)
-    source_sentences = read_token_lines(args.source, args.lowercase)
-    target_sentences = read_token_lines(args.target, args.lowercase)
-    if not source_sentences or not target_sentences:
-        raise DataFormatError("corpus is empty")
-    if len(source_sentences) != len(target_sentences):
-        raise DataFormatError(
-            f"line count mismatch: {args.source} has {len(source_sentences)} lines, "
-            f"{args.target} has {len(target_sentences)}"
-        )
-    warned: set[str] = set()
-
-    def resolve(vocab, word):
-        wid = vocab.get(word, UNKNOWN_ID)
-        if wid == UNKNOWN_ID and word not in warned:
-            warned.add(word)
-            print(f"warning: token {word!r} not in model vocabulary", file=sys.stderr)
-        return wid
-
+    corpus = _load_onto_table(args, table)
     lines = []
-    for src, tgt in zip(source_sentences, target_sentences):
-        pair = SentencePair(
-            tuple(resolve(table.source_vocab, w) for w in src),
-            tuple(resolve(table.target_vocab, w) for w in tgt),
-        )
+    for pair in corpus.pairs:
         alignment = viterbi_align(pair, table)
         tokens = [
             f"{i}-{j}"
@@ -233,8 +240,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
     table, _ = read_table(args.model)
+    corpus = _load_onto_table(args, table)
     annotation = load_annotations(args.annotations, corpus)
     report = evaluate_corpus(table, corpus, annotation, emit_null=args.emit_null)
     print(report.pretty())
@@ -242,147 +249,6 @@ def cmd_eval(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n".join(report.to_tsv_lines()) + "\n")
     return 0
-
-
-@dataclass
-class ExperimentSpec:
-    source_path: str
-    target_path: str
-    annotations_path: str
-    out_dir: str
-    strategies: tuple[str, ...] = STRATEGY_NAMES
-    objectives: tuple[str, ...] = OBJECTIVE_NAMES
-    dev_size: int | None = None
-    dev_fraction: float = 0.1
-    seed: int = 13
-    iterations: int = 10
-    epsilon: float = 1.0
-    alpha: float = 10.0
-    tune_config: TuneConfig = field(default_factory=TuneConfig)
-    lowercase: bool = False
-
-    def __post_init__(self):
-        if not self.strategies or not self.objectives:
-            raise ValueError("need at least one strategy and one objective")
-
-
-@dataclass
-class CellResult:
-    strategy: str
-    objective: str
-    status: str = "ok"
-    lam: float | None = None
-    aer: float | None = None
-    error_count: int | None = None
-    decrease: float | None = None
-    reason: str | None = None
-
-
-def run_experiment(spec: ExperimentSpec):
-    """Baseline plus one tuned cell per strategy/objective combination.
-
-    Following the alignment protocol, every model (baseline and tuned) is
-    trained on the full corpus, test sentences included; only the gold
-    links of the dev split are visible to tuning, and dev pairs are
-    excluded from test scoring.
-    """
-    corpus = load_parallel_corpus(spec.source_path, spec.target_path, spec.lowercase)
-    annotation = load_annotations(spec.annotations_path, corpus)
-    dev_size = spec.dev_size if spec.dev_size is not None else max(1, len(annotation) // 3)
-    dev_annotation, test_annotation = split_annotated(annotation, dev_size, spec.seed)
-
-    stats = occurrence_stats(corpus)
-    baseline = train(corpus, TrainConfig(spec.iterations, 0.0, None, spec.epsilon))
-    baseline_report = evaluate_corpus(baseline.table, corpus, test_annotation)
-
-    dev_annotated = DevSet.from_annotations(corpus, dev_annotation)
-    unannotated_setup = None  # built lazily; only ml-unannotated cells need it
-
-    cells = []
-    final_tables: dict[tuple[str, float], object] = {}
-    for strategy_name in spec.strategies:
-        for objective_name in spec.objectives:
-            cell = CellResult(strategy_name, objective_name)
-            cells.append(cell)
-            try:
-                objective = Objective(objective_name, spec.alpha)
-                if objective.requires_annotation:
-                    tune_corpus, dev, tune_stats = corpus, dev_annotated, stats
-                else:
-                    if unannotated_setup is None:
-                        train_part, dev_part = split_unannotated(
-                            corpus, spec.dev_fraction, spec.seed
-                        )
-                        unannotated_setup = (
-                            train_part,
-                            DevSet.unannotated(dev_part.pairs),
-                            occurrence_stats(train_part),
-                        )
-                    tune_corpus, dev, tune_stats = unannotated_setup
-                result = tune(
-                    tune_corpus, dev, make_strategy(strategy_name, tune_stats), objective,
-                    spec.tune_config, TrainConfig(iterations=spec.iterations, epsilon=spec.epsilon),
-                )
-                key = (strategy_name, result.lambda_star)
-                if key not in final_tables:
-                    final_tables[key] = train(
-                        corpus,
-                        TrainConfig(spec.iterations, result.lambda_star,
-                                    make_strategy(strategy_name, stats), spec.epsilon),
-                    ).table
-                report = evaluate_corpus(final_tables[key], corpus, test_annotation)
-                cell.lam = result.lambda_star
-                cell.aer = report.aer
-                cell.error_count = report.error_count
-                cell.decrease = baseline_report.aer - report.aer
-            except (TuningError, DataFormatError, UnknownTokenError, ValueError) as err:
-                cell.status = "failed"
-                cell.reason = str(err)
-    return baseline_report, cells
-
-
-def _experiment_tsv(baseline_report, cells) -> str:
-    lines = [
-        f"baseline\taer\t{baseline_report.aer!r}",
-        f"baseline\terror_count\t{baseline_report.error_count}",
-        f"baseline\tprecision\t{baseline_report.precision!r}",
-        f"baseline\trecall\t{baseline_report.recall!r}",
-    ]
-    for cell in cells:
-        prefix = f"cell\t{cell.strategy}\t{cell.objective}"
-        lines.append(f"{prefix}\tstatus\t{cell.status}")
-        if cell.status == "ok":
-            lines.append(f"{prefix}\tlambda\t{cell.lam!r}")
-            lines.append(f"{prefix}\taer\t{cell.aer!r}")
-            lines.append(f"{prefix}\terror_count\t{cell.error_count}")
-            lines.append(f"{prefix}\tdecreasement\t{cell.decrease!r}")
-        else:
-            lines.append(f"{prefix}\treason\t{cell.reason}")
-    return "\n".join(lines) + "\n"
-
-
-def _experiment_text(spec, baseline_report, cells) -> str:
-    lines = [
-        "experiment report",
-        "=================",
-        f"iterations {spec.iterations}, seed {spec.seed}, "
-        f"test pairs {baseline_report.pair_count}",
-        f"baseline (lambda=0): AER {baseline_report.aer:.6f}, "
-        f"error count {baseline_report.error_count}, "
-        f"precision {baseline_report.precision:.6f}, recall {baseline_report.recall:.6f}",
-        "",
-        "tuned cells (decreasement = baseline AER - tuned AER; positive is better):",
-    ]
-    for cell in cells:
-        head = f"[{cell.strategy} / {cell.objective}]"
-        if cell.status == "ok":
-            lines.append(
-                f"{head:48s} lambda* {cell.lam:<12.6g} AER {cell.aer:.6f} "
-                f"decreasement {cell.decrease:+.6f}"
-            )
-        else:
-            lines.append(f"{head:48s} FAILED: {cell.reason}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_experiment(args) -> int:
@@ -415,9 +281,9 @@ def cmd_experiment(args) -> int:
     tsv_path = os.path.join(spec.out_dir, "report.tsv")
     txt_path = os.path.join(spec.out_dir, "report.txt")
     with open(tsv_path, "w", encoding="utf-8") as handle:
-        handle.write(_experiment_tsv(baseline_report, cells))
+        handle.write(report_tsv(baseline_report, cells))
     with open(txt_path, "w", encoding="utf-8") as handle:
-        handle.write(_experiment_text(spec, baseline_report, cells))
+        handle.write(report_text(spec, baseline_report, cells))
     failures = [cell for cell in cells if cell.status != "ok"]
     print(f"wrote {tsv_path} ({len(cells)} cells, {len(failures)} failed)")
     return 3 if failures else 0

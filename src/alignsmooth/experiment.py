@@ -1,0 +1,178 @@
+"""The experiment grid: an unsmoothed baseline plus one tuned cell per
+strategy-by-objective combination, and its two report formats.
+
+Every model is a pure function of (training corpus, adding strategy,
+lambda) under the experiment's fixed iteration count and epsilon, so each
+such key is trained at most once per run.  At lambda = 0 the strategy is
+ignored and every strategy shares one table per corpus.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .corpus import (
+    load_annotations,
+    load_parallel_corpus,
+    occurrence_stats,
+    split_annotated,
+    split_unannotated,
+)
+from .errors import DataFormatError, TuningError, UnknownTokenError
+from .evaluation import evaluate_corpus
+from .objectives import OBJECTIVE_NAMES, DevSet, Objective
+from .smoothing import STRATEGY_NAMES, make_strategy
+from .trainer import TrainConfig, train
+from .tuner import TuneConfig, tune
+
+
+@dataclass
+class ExperimentSpec:
+    source_path: str
+    target_path: str
+    annotations_path: str
+    out_dir: str
+    strategies: tuple[str, ...] = STRATEGY_NAMES
+    objectives: tuple[str, ...] = OBJECTIVE_NAMES
+    dev_size: int | None = None
+    dev_fraction: float = 0.1
+    seed: int = 13
+    iterations: int = 10
+    epsilon: float = 1.0
+    alpha: float = 10.0
+    tune_config: TuneConfig = field(default_factory=TuneConfig)
+    lowercase: bool = False
+
+    def __post_init__(self):
+        if not self.strategies or not self.objectives:
+            raise ValueError("need at least one strategy and one objective")
+
+
+@dataclass
+class CellResult:
+    strategy: str
+    objective: str
+    status: str = "ok"
+    lam: float | None = None
+    aer: float | None = None
+    error_count: int | None = None
+    decrease: float | None = None
+    reason: str | None = None
+
+
+def run_experiment(spec: ExperimentSpec):
+    """Baseline plus one tuned cell per strategy/objective combination.
+
+    Following the alignment protocol, every model (baseline and tuned) is
+    trained on the full corpus, test sentences included; only the gold
+    links of the dev split are visible to tuning, and dev pairs are
+    excluded from test scoring.
+    """
+    corpus = load_parallel_corpus(spec.source_path, spec.target_path, spec.lowercase)
+    annotation = load_annotations(spec.annotations_path, corpus)
+    dev_size = spec.dev_size if spec.dev_size is not None else max(1, len(annotation) // 3)
+    dev_annotation, test_annotation = split_annotated(annotation, dev_size, spec.seed)
+
+    stats = occurrence_stats(corpus)
+    baseline = train(corpus, TrainConfig(spec.iterations, 0.0, None, spec.epsilon))
+    baseline_report = evaluate_corpus(baseline.table, corpus, test_annotation)
+
+    dev_annotated = DevSet.from_annotations(corpus, dev_annotation)
+    unannotated_setup = None  # built lazily; only ml-unannotated cells need it
+    # the lambda = 0 table of each training corpus ("full" or "slice"), shared by all strategies
+    zero_tables = {"full": baseline.table}
+
+    cells = []
+    for strategy_name in spec.strategies:
+        # lambda -> table for this strategy, per training corpus; dropped with the strategy
+        tables = {name: {0.0: table} for name, table in zero_tables.items()}
+        for objective_name in spec.objectives:
+            cell = CellResult(strategy_name, objective_name)
+            cells.append(cell)
+            try:
+                objective = Objective(objective_name, spec.alpha)
+                if objective.requires_annotation:
+                    tune_corpus, dev, tune_stats = corpus, dev_annotated, stats
+                    corpus_name = "full"
+                else:
+                    if unannotated_setup is None:
+                        train_part, dev_part = split_unannotated(
+                            corpus, spec.dev_fraction, spec.seed
+                        )
+                        unannotated_setup = (
+                            train_part,
+                            DevSet.unannotated(dev_part.pairs),
+                            occurrence_stats(train_part),
+                        )
+                    tune_corpus, dev, tune_stats = unannotated_setup
+                    corpus_name = "slice"
+                result = tune(
+                    tune_corpus, dev, make_strategy(strategy_name, tune_stats), objective,
+                    spec.tune_config, TrainConfig(iterations=spec.iterations, epsilon=spec.epsilon),
+                    tables.setdefault(corpus_name, {}),
+                )
+                final_tables = tables["full"]
+                if result.lambda_star not in final_tables:
+                    final_tables[result.lambda_star] = train(
+                        corpus,
+                        TrainConfig(spec.iterations, result.lambda_star,
+                                    make_strategy(strategy_name, stats), spec.epsilon),
+                    ).table
+                report = evaluate_corpus(final_tables[result.lambda_star], corpus, test_annotation)
+                cell.lam = result.lambda_star
+                cell.aer = report.aer
+                cell.error_count = report.error_count
+                cell.decrease = baseline_report.aer - report.aer
+            except (TuningError, DataFormatError, UnknownTokenError, ValueError) as err:
+                cell.status = "failed"
+                cell.reason = str(err)
+        for name, by_lambda in tables.items():
+            if 0.0 in by_lambda:
+                zero_tables.setdefault(name, by_lambda[0.0])
+    return baseline_report, cells
+
+
+def report_tsv(baseline_report, cells) -> str:
+    """The machine-readable report: one tab-separated value per line."""
+    lines = [
+        f"baseline\taer\t{baseline_report.aer!r}",
+        f"baseline\terror_count\t{baseline_report.error_count}",
+        f"baseline\tprecision\t{baseline_report.precision!r}",
+        f"baseline\trecall\t{baseline_report.recall!r}",
+    ]
+    for cell in cells:
+        prefix = f"cell\t{cell.strategy}\t{cell.objective}"
+        lines.append(f"{prefix}\tstatus\t{cell.status}")
+        if cell.status == "ok":
+            lines.append(f"{prefix}\tlambda\t{cell.lam!r}")
+            lines.append(f"{prefix}\taer\t{cell.aer!r}")
+            lines.append(f"{prefix}\terror_count\t{cell.error_count}")
+            lines.append(f"{prefix}\tdecreasement\t{cell.decrease!r}")
+        else:
+            lines.append(f"{prefix}\treason\t{cell.reason}")
+    return "\n".join(lines) + "\n"
+
+
+def report_text(spec, baseline_report, cells) -> str:
+    """The human-readable report: the baseline, then one line per cell."""
+    lines = [
+        "experiment report",
+        "=================",
+        f"iterations {spec.iterations}, seed {spec.seed}, "
+        f"test pairs {baseline_report.pair_count}",
+        f"baseline (lambda=0): AER {baseline_report.aer:.6f}, "
+        f"error count {baseline_report.error_count}, "
+        f"precision {baseline_report.precision:.6f}, recall {baseline_report.recall:.6f}",
+        "",
+        "tuned cells (decreasement = baseline AER - tuned AER; positive is better):",
+    ]
+    for cell in cells:
+        head = f"[{cell.strategy} / {cell.objective}]"
+        if cell.status == "ok":
+            lines.append(
+                f"{head:48s} lambda* {cell.lam:<12.6g} AER {cell.aer:.6f} "
+                f"decreasement {cell.decrease:+.6f}"
+            )
+        else:
+            lines.append(f"{head:48s} FAILED: {cell.reason}")
+    return "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .corpus import ParallelCorpus
 from .errors import TuningError
+from .model import TranslationTable
 from .objectives import DevSet, Objective
 from .smoothing import AddingStrategy
 from .trainer import TrainConfig, train
@@ -210,12 +211,17 @@ def tune(
     objective: Objective,
     tune_config: TuneConfig | None = None,
     train_config: TrainConfig | None = None,
+    tables: dict[float, TranslationTable] | None = None,
 ) -> TuneResult:
     """Pick the scale lambda optimizing the objective on development data.
 
     Each candidate lambda triggers a full retrain on the training corpus;
     lambda = 0 is always among the candidates, so the tuned result is
     never worse on the development data than the unsmoothed baseline.
+
+    ``tables`` optionally maps lambda to a table already trained on this
+    corpus with this strategy and train config; a candidate found there is
+    not retrained, and every retrain is stored into it.
     """
     tune_config = tune_config or TuneConfig()
     base = train_config or TrainConfig()
@@ -224,8 +230,13 @@ def tune(
     grid = sorted(set(tune_config.grid) | {0.0})
 
     def score(lam: float) -> float:
-        result = train(train_corpus, TrainConfig(base.iterations, lam, strategy, base.epsilon))
-        return objective.evaluate(dev, result.table)
+        table = tables.get(lam) if tables is not None else None
+        if table is None:
+            config = TrainConfig(base.iterations, lam, strategy, base.epsilon)
+            table = train(train_corpus, config).table
+            if tables is not None:
+                tables[lam] = table
+        return objective.evaluate(dev, table)
 
     lam, value, trace = search_scale(
         score, grid, objective.maximize, tune_config.tolerance, tune_config.max_refine_evals

@@ -130,6 +130,51 @@ class TestEvalCommand:
         content = open(out, encoding="utf-8").read()
         assert content.startswith("precision\t")
 
+    def reversed_model(self, tmp_path, capsys):
+        """A model trained on the toy corpus with its lines in reverse order."""
+        src, tgt, _ = toy_paths()
+        paths = []
+        for path in (src, tgt):
+            lines = open(path, encoding="utf-8").read().splitlines()
+            reversed_path = tmp_path / ("reversed." + os.path.basename(path))
+            reversed_path.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
+            paths.append(str(reversed_path))
+        model = str(tmp_path / "model.tsv")
+        assert main(["train", "-s", paths[0], "-t", paths[1], "-o", model]) == 0
+        capsys.readouterr()
+        return model
+
+    def report(self, out):
+        fields = dict(line.split("\t") for line in open(out, encoding="utf-8").read().splitlines())
+        return float(fields["aer"]), int(fields["error_count"])
+
+    def test_model_from_reordered_corpus(self, tmp_path, capsys):
+        src, tgt, ann = toy_paths()
+        model = self.reversed_model(tmp_path, capsys)
+        out = str(tmp_path / "report.tsv")
+        assert main(["eval", "-s", src, "-t", tgt, "-m", model, "-a", ann, "-o", out]) == 0
+        assert self.report(out) == (0.09230769230769231, 10)
+        assert "warning" not in capsys.readouterr().err
+
+    def test_unseen_target_word_warns_once_and_scores(self, tmp_path, capsys):
+        src, tgt, ann = toy_paths()
+        model = self.reversed_model(tmp_path, capsys)
+        lines = open(tgt, encoding="utf-8").read().splitlines()
+        first = lines[0].split()
+        lines[0] = " ".join(["zzzunseen"] + first[1:])
+        lines[1] = lines[1] + " zzzunseen"
+        changed = tmp_path / "target.txt"
+        changed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = str(tmp_path / "report.tsv")
+        assert main(["eval", "-s", src, "-t", str(changed), "-m", model, "-a", ann,
+                     "--emit-null", "-o", out]) == 0
+        assert capsys.readouterr().err.count("'zzzunseen'") == 1
+        aer, _ = self.report(out)
+        assert 0.0 <= aer <= 1.0
+        # the unseen word scores zero everywhere, so it goes to NULL
+        assert main(["align", "-s", src, "-t", str(changed), "-m", model, "--emit-null"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split()[0] == "0-1"
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
@@ -196,13 +241,13 @@ class TestExperimentCommand:
             assert values["decreasement"] == pytest.approx(baseline - values["aer"], abs=1e-12)
 
     def test_failed_cells_keep_baseline_and_exit_3(self, tmp_path, monkeypatch):
-        import alignsmooth.cli as cli
+        import alignsmooth.experiment as experiment
         from alignsmooth import TuningError
 
         def explode(*args, **kwargs):
             raise TuningError("forced failure")
 
-        monkeypatch.setattr(cli, "tune", explode)
+        monkeypatch.setattr(experiment, "tune", explode)
         out_dir = str(tmp_path / "exp")
         assert self.run_small(out_dir) == 3
         tsv = open(os.path.join(out_dir, "report.tsv"), encoding="utf-8").read()

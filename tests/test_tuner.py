@@ -194,3 +194,22 @@ class TestTune:
             tune(corpus, impossible, strategy, Objective("ml-annotated"),
                  small_tune_config(), TrainConfig(iterations=2))
         assert len(err.value.evaluations) >= 1
+
+    def test_tables_fill_then_replace_retrains(self, monkeypatch):
+        import alignsmooth.tuner as tuner
+
+        corpus = t1_corpus()
+        dev = DevSet.unannotated(corpus.pairs)
+        strategy = make_strategy("add-one", occurrence_stats(corpus))
+        args = (corpus, dev, strategy, Objective("ml-unannotated"),
+                small_tune_config(), TrainConfig(iterations=3))
+        plain = tune(*args)
+        tables = {}
+        assert tune(*args, tables) == plain
+        assert set(tables) == {lam for lam, _ in plain.evaluations}
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a table in the mapping was retrained")
+
+        monkeypatch.setattr(tuner, "train", no_training)
+        assert tune(*args, tables) == plain
