@@ -28,7 +28,6 @@ from .evaluation import (
     aer,
     evaluate_corpus,
     precision,
-    predicted_links,
     recall,
 )
 from .model import (
@@ -58,11 +57,8 @@ from .smoothing import (
     make_strategy,
 )
 from .trainer import (
-    CountTable,
     TrainConfig,
     TrainResult,
-    expectation_counts,
-    maximize_smoothed,
     train,
 )
 from .tuner import (

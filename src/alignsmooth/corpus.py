@@ -118,12 +118,6 @@ class ParallelCorpus:
         picked = [self.pairs[i] for i in indices]
         return ParallelCorpus(picked, self.source_vocab, self.target_vocab)
 
-    def source_tokens(self, pair: SentencePair) -> list[str]:
-        return [self.source_vocab.word(i) for i in pair.source]
-
-    def target_tokens(self, pair: SentencePair) -> list[str]:
-        return [self.target_vocab.word(i) for i in pair.target]
-
 
 def read_token_lines(path, lowercase: bool = False) -> list[list[str]]:
     """Read one whitespace-tokenized sentence per line; reject empty lines."""
@@ -200,11 +194,6 @@ class OccurrenceStats:
         if not 0 <= f < len(self.target_counts):
             raise UnknownTokenError(f"no target token with id {f}")
         return self.target_counts[f]
-
-    def cooc_count(self, e: int, f: int) -> int:
-        self.source_count(e)
-        self.target_count(f)
-        return self.cooc.get(e, {}).get(f, 0)
 
     def cooc_row(self, e: int) -> dict[int, int]:
         self.source_count(e)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import AnnotationSet, ParallelCorpus, SentencePair, adapt_annotation
+from .corpus import AnnotationSet, ParallelCorpus, adapt_annotation
 from .model import TranslationTable, viterbi_align
 
 Link = tuple[int, int]
@@ -58,11 +58,6 @@ def links_from_alignment(alignment, emit_null: bool = False) -> set[Link]:
         for j, i in enumerate(alignment, start=1)
         if i != 0 or emit_null
     }
-
-
-def predicted_links(pair: SentencePair, table: TranslationTable, emit_null: bool = False) -> set[Link]:
-    """Viterbi links of a pair; NULL links are excluded unless requested."""
-    return links_from_alignment(viterbi_align(pair, table), emit_null)
 
 
 def precision(links: set[Link], possible: frozenset[Link] | set[Link]) -> float:

@@ -5,11 +5,13 @@ probabilities plus a per-row default shared by every other target word
 (non-zero only for smoothed tables, where one value covers the whole
 residual row).  An absent row behaves as all zeros.
 
-Model file format: UTF-8 TSV with one ``e<TAB>f<TAB>prob`` line per
-nonzero entry, preceded by ``#``-prefixed ``key: value`` metadata lines
-(vocabulary sizes, epsilon, iteration count, strategy, lambda).
+Model file format: UTF-8 TSV, ``#``-prefixed ``key: value`` metadata
+lines (vocabulary sizes, epsilon, iteration count, strategy, lambda)
+first.  A row default is one ``e<TAB><TAB>default`` line (tokens are
+never empty, so the empty field cannot be a word); every explicit entry
+that differs from its row default is one ``e<TAB>f<TAB>prob`` line.
 Probabilities are written with full precision so reloading reproduces
-them exactly.
+them exactly, at a size proportional to the explicit entries.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ _EMPTY: dict[int, float] = {}
 class TranslationTable:
     """Per-source-word distributions over the target vocabulary.
 
-    Immutable by convention once built; the trainer replaces whole tables
-    instead of editing them.
+    Immutable by convention once built; the trainer builds each table once,
+    after its last iteration.
     """
 
     rows: dict[int, dict[int, float]]
@@ -45,18 +47,7 @@ class TranslationTable:
             raise UnknownTokenError(f"source token id {e} out of range")
         if not 0 <= f < len(self.target_vocab):
             raise UnknownTokenError(f"target token id {f} out of range")
-        row = self.rows.get(e)
-        if row is not None:
-            value = row.get(f)
-            if value is not None:
-                return value
-        return self.row_defaults.get(e, 0.0)
-
-    def row_total(self, e: int) -> float:
-        """Sum of t(f|e) over the full target vocabulary."""
-        row = self.rows.get(e, _EMPTY)
-        default = self.row_defaults.get(e, 0.0)
-        return sum(row.values()) + (len(self.target_vocab) - len(row)) * default
+        return self.rows.get(e, _EMPTY).get(f, self.row_defaults.get(e, 0.0))
 
 
 def uniform_init(source_vocab: Vocabulary, target_vocab: Vocabulary, epsilon: float = 1.0) -> TranslationTable:
@@ -68,9 +59,25 @@ def uniform_init(source_vocab: Vocabulary, target_vocab: Vocabulary, epsilon: fl
     return TranslationTable({}, defaults, source_vocab, target_vocab, epsilon)
 
 
-def _source_ids(pair: SentencePair) -> tuple[int, ...]:
-    # position 0 is the implicit NULL word
-    return (NULL_ID,) + pair.source
+def link_scores(pair: SentencePair, table: TranslationTable):
+    """Yield [t(f|NULL), t(f|e_1), ..., t(f|e_l)] for each target word f of the pair.
+
+    Ids are checked once per pair: ``UNKNOWN_ID`` scores zero on either
+    side, any other id outside the table's vocabularies raises.
+    """
+    source_size, target_size = len(table.source_vocab), len(table.target_vocab)
+    for e in pair.source:
+        if not 0 <= e < source_size and e != UNKNOWN_ID:
+            raise UnknownTokenError(f"source token id {e} out of range")
+    # UNKNOWN_ID has no row and no default, so it scores zero
+    rows = [(table.rows.get(e, _EMPTY), table.row_defaults.get(e, 0.0)) for e in (NULL_ID,) + pair.source]
+    for f in pair.target:
+        if f == UNKNOWN_ID:
+            yield [0.0] * len(rows)
+        elif 0 <= f < target_size:
+            yield [row.get(f, default) for row, default in rows]
+        else:
+            raise UnknownTokenError(f"target token id {f} out of range")
 
 
 def link_posterior(pair: SentencePair, table: TranslationTable) -> list[list[float]]:
@@ -79,11 +86,9 @@ def link_posterior(pair: SentencePair, table: TranslationTable) -> list[list[flo
     A target word scoring zero against every source position gets the
     uniform distribution over 0..l, so downstream objectives stay finite.
     """
-    sources = _source_ids(pair)
-    width = len(sources)
+    width = pair.source_length + 1
     posterior = []
-    for f in pair.target:
-        values = [table.prob(e, f) for e in sources]
+    for values in link_scores(pair, table):
         denom = sum(values)
         if denom > 0.0:
             posterior.append([v / denom for v in values])
@@ -94,17 +99,7 @@ def link_posterior(pair: SentencePair, table: TranslationTable) -> list[list[flo
 
 def viterbi_align(pair: SentencePair, table: TranslationTable) -> tuple[int, ...]:
     """Most likely source position for each target position; ties pick the smallest."""
-    sources = _source_ids(pair)
-    alignment = []
-    for f in pair.target:
-        best_i = 0
-        best_v = table.prob(sources[0], f)
-        for i in range(1, len(sources)):
-            v = table.prob(sources[i], f)
-            if v > best_v:
-                best_i, best_v = i, v
-        alignment.append(best_i)
-    return tuple(alignment)
+    return tuple(values.index(max(values)) for values in link_scores(pair, table))
 
 
 def pair_log_likelihood(pair: SentencePair, table: TranslationTable) -> float:
@@ -113,10 +108,9 @@ def pair_log_likelihood(pair: SentencePair, table: TranslationTable) -> float:
     Equals log(eps) - m*log(l+1) + sum_j log sum_i t(f_j|e_i); any target
     word with an all-zero score yields -inf.
     """
-    sources = _source_ids(pair)
-    total = math.log(table.epsilon) - pair.target_length * math.log(len(sources))
-    for f in pair.target:
-        denom = sum(table.prob(e, f) for e in sources)
+    total = math.log(table.epsilon) - pair.target_length * math.log(pair.source_length + 1)
+    for values in link_scores(pair, table):
+        denom = sum(values)
         if denom <= 0.0:
             return float("-inf")
         total += math.log(denom)
@@ -124,7 +118,11 @@ def pair_log_likelihood(pair: SentencePair, table: TranslationTable) -> float:
 
 
 def write_table(table: TranslationTable, path, iterations=None, strategy=None, lam=None) -> None:
-    """Write every nonzero entry as word<TAB>word<TAB>prob, metadata first."""
+    """Write every explicit entry and nonzero row default, metadata first.
+
+    A target word no entry names is written once against the first row
+    with a default, so the reloaded table keeps it in its vocabulary.
+    """
     meta = [
         ("source_vocab_size", len(table.source_vocab)),
         ("target_vocab_size", len(table.target_vocab)),
@@ -136,30 +134,29 @@ def write_table(table: TranslationTable, path, iterations=None, strategy=None, l
         meta.append(("strategy", strategy))
     if lam is not None:
         meta.append(("lambda", repr(float(lam))))
+    source_word, target_word = table.source_vocab.word, table.target_vocab.word
+    defaults = {e: d for e, d in table.row_defaults.items() if d > 0.0}
+    unnamed = set(range(len(table.target_vocab))).difference(*table.rows.values())
     with open(path, "w", encoding="utf-8") as handle:
         for key, value in meta:
             handle.write(f"# {key}: {value}\n")
-        target_size = len(table.target_vocab)
-        touched = set(table.rows) | {e for e, d in table.row_defaults.items() if d > 0.0}
-        for e in sorted(touched):
-            e_word = table.source_vocab.word(e)
-            row = table.rows.get(e, _EMPTY)
-            default = table.row_defaults.get(e, 0.0)
-            if default > 0.0:
-                f_ids = range(target_size)
-            else:
-                f_ids = sorted(row)
-            for f in f_ids:
-                p = row.get(f, default)
-                if p > 0.0:
-                    handle.write(f"{e_word}\t{table.target_vocab.word(f)}\t{p!r}\n")
+        for e in sorted(set(table.rows) | set(defaults)):
+            if e in defaults:
+                handle.write(f"{source_word(e)}\t\t{defaults[e]!r}\n")
+            for f, p in sorted(table.rows.get(e, _EMPTY).items()):
+                handle.write(f"{source_word(e)}\t{target_word(f)}\t{p!r}\n")
+        if defaults:
+            e = min(defaults)
+            for f in sorted(unnamed):
+                handle.write(f"{source_word(e)}\t{target_word(f)}\t{defaults[e]!r}\n")
 
 
 def read_table(path) -> tuple[TranslationTable, dict]:
-    """Load a model file; returns the table and its metadata dict."""
+    """Load a model file, sparse or with full rows; returns the table and its metadata."""
     source_vocab = Vocabulary.with_null()
     target_vocab = Vocabulary()
     rows: dict[int, dict[int, float]] = {}
+    defaults: dict[int, float] = {}
     metadata: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -173,9 +170,9 @@ def read_table(path) -> tuple[TranslationTable, dict]:
                     metadata[key.strip()] = value.strip()
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
+            if len(fields) != 3 or not fields[0]:
                 raise DataFormatError(
-                    f"{path}: line {number}: expected e<TAB>f<TAB>prob, got {line!r}"
+                    f"{path}: line {number}: expected e<TAB>f<TAB>prob or e<TAB><TAB>default, got {line!r}"
                 )
             try:
                 p = float(fields[2])
@@ -186,8 +183,10 @@ def read_table(path) -> tuple[TranslationTable, dict]:
             if p < 0.0:
                 raise DataFormatError(f"{path}: line {number}: negative probability")
             e = source_vocab.add(fields[0])
-            f = target_vocab.add(fields[1])
-            rows.setdefault(e, {})[f] = p
+            if fields[1]:
+                rows.setdefault(e, {})[target_vocab.add(fields[1])] = p
+            else:
+                defaults[e] = p
     epsilon = float(metadata.get("epsilon", "1.0"))
-    table = TranslationTable(rows, {}, source_vocab, target_vocab, epsilon)
+    table = TranslationTable(rows, defaults, source_vocab, target_vocab, epsilon)
     return table, metadata

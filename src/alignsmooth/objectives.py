@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import NULL_ID, ParallelCorpus, AnnotationSet, SentencePair, adapt_annotation
-from .model import TranslationTable, link_posterior, pair_log_likelihood, viterbi_align
+from .corpus import ParallelCorpus, AnnotationSet, SentencePair, adapt_annotation
+from .model import TranslationTable, link_posterior, link_scores, pair_log_likelihood, viterbi_align
 
 OBJECTIVE_NAMES = ("ml-unannotated", "ml-annotated", "error-count", "smoothed-error-count")
 _MAXIMIZING = frozenset({"ml-unannotated", "ml-annotated"})
@@ -80,9 +80,8 @@ def aligned_log_likelihood(dev: DevSet, table: TranslationTable) -> float:
     _require_annotated(dev)
     total = 0.0
     for pair, alignment in zip(dev.pairs, dev.alignments):
-        sources = (NULL_ID,) + pair.source
-        for f, i in zip(pair.target, alignment):
-            t = table.prob(sources[i], f)
+        for values, i in zip(link_scores(pair, table), alignment):
+            t = values[i]
             if t <= 0.0:
                 return float("-inf")
             total += math.log(t)

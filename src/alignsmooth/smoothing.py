@@ -22,10 +22,6 @@ class AddingStrategy:
 
     name = "base"
 
-    def weight(self, e: int, f: int) -> float:
-        """g(e, f)."""
-        return self.base_weight(e) + self.extra_weights(e).get(f, 0.0)
-
     def base_weight(self, e: int) -> float:
         raise NotImplementedError
 

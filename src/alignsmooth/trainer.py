@@ -11,12 +11,14 @@ unsmoothed baseline falls out of the same code path bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
-from .corpus import NULL_ID, ParallelCorpus, Vocabulary
+from .corpus import NULL_ID, ParallelCorpus
 from .errors import UnknownTokenError
-from .model import TranslationTable, uniform_init
+from .model import TranslationTable
 from .smoothing import AddingStrategy
 
 _EMPTY: dict[int, float] = {}
@@ -38,117 +40,139 @@ class TrainConfig:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass
-class CountTable:
-    """Expected link counts from one E-step, with per-source totals."""
-
-    counts: dict[int, dict[int, float]]
-    totals: dict[int, float]
-    source_vocab: Vocabulary
-    target_vocab: Vocabulary
-
-    def count(self, e: int, f: int) -> float:
-        return self.counts.get(e, _EMPTY).get(f, 0.0)
-
-    def total(self, e: int) -> float:
-        return self.totals.get(e, 0.0)
-
-
 @dataclass(frozen=True)
 class TrainResult:
     table: TranslationTable
     log_likelihood_trace: tuple[float, ...]
 
 
-def _estep(corpus: ParallelCorpus, table: TranslationTable, epsilon: float) -> tuple[CountTable, float]:
-    """Accumulate expected counts and the log-likelihood of the current table."""
-    if len(table.source_vocab) < len(corpus.source_vocab) or len(
-        table.target_vocab
-    ) < len(corpus.target_vocab):
-        raise UnknownTokenError("table vocabularies do not cover this corpus")
-    counts: dict[int, dict[int, float]] = {}
-    totals: dict[int, float] = {}
-    log_eps = math.log(epsilon)
-    log_likelihood = 0.0
+@dataclass(frozen=True)
+class SlotCorpus:
+    """A corpus compiled for EM: one slot per co-occurring (e, f), NULL included.
+
+    ``rows[e]`` maps each target id co-occurring with source id e to its
+    slot; a row's slots are contiguous and ascend with the target id, and
+    rows follow source id order.  ``pairs`` holds each sentence pair's
+    source ids, NULL first, and the slots of its links, (j, i) at j*(l+1)+i.
+    """
+
+    rows: list[dict[int, int]]
+    pairs: list[tuple[tuple[int, ...], array]]
+    slot_count: int
+    target_size: int
+
+
+def compile_corpus(corpus: ParallelCorpus) -> SlotCorpus:
+    """Number the corpus's co-occurring (e, f) pairs and its links."""
+    source_size, target_size = len(corpus.source_vocab), len(corpus.target_vocab)
+    if source_size == 0 or target_size == 0:
+        raise ValueError("vocabularies must be non-empty")
+    support = [set() for _ in range(source_size)]
+    for k, pair in enumerate(corpus.pairs):
+        if pair.source and not 0 <= min(pair.source) <= max(pair.source) < source_size:
+            raise UnknownTokenError(f"pair {k + 1}: source token id outside the vocabulary")
+        if pair.target and not 0 <= min(pair.target) <= max(pair.target) < target_size:
+            raise UnknownTokenError(f"pair {k + 1}: target token id outside the vocabulary")
+        targets = set(pair.target)
+        support[NULL_ID] |= targets
+        for e in set(pair.source):
+            support[e] |= targets
+    slot_ids = itertools.count()  # zip stops at the sorted targets before drawing an extra id
+    rows = [dict(zip(sorted(targets), slot_ids)) for targets in support]
+    pairs = []
     for pair in corpus.pairs:
         sources = (NULL_ID,) + pair.source
+        slot_rows = [rows[e] for e in sources]
+        pairs.append((sources, array("i", [row[f] for f in pair.target for row in slot_rows])))
+    return SlotCorpus(rows, pairs, next(slot_ids), target_size)
+
+
+def _estep(slots: SlotCorpus, probs: list[float], epsilon: float) -> tuple[list[float], list[float], float]:
+    """Expected count per slot, per-source totals, and the log-likelihood.
+
+    ``probs[s]`` is t(f|e) of slot s.  Counts and totals grow one link at
+    a time in corpus order; a target word scoring zero against every
+    source position spreads 1/(l+1) over them and makes its pair -inf.
+    """
+    counts = [0.0] * slots.slot_count
+    totals = [0.0] * len(slots.rows)
+    log = math.log
+    log_eps = log(epsilon)
+    log_likelihood = 0.0
+    for sources, links in slots.pairs:
         width = len(sources)
-        cached = [
-            (table.rows.get(e, _EMPTY), table.row_defaults.get(e, 0.0)) for e in sources
-        ]
-        pair_ll = log_eps - pair.target_length * math.log(width)
+        pair_ll = log_eps - len(links) // width * log(width)
         degenerate = False
-        for f in pair.target:
-            values = [row.get(f, default) for row, default in cached]
+        for ids in zip(*[iter(links)] * width):
+            values = [probs[s] for s in ids]
             denom = sum(values)
             if denom > 0.0:
-                pair_ll += math.log(denom)
-                inv = 1.0 / denom
-                for e, v in zip(sources, values):
-                    if v:
-                        share = v * inv
-                        counts.setdefault(e, {})
-                        counts[e][f] = counts[e].get(f, 0.0) + share
-                        totals[e] = totals.get(e, 0.0) + share
-            else:
+                pair_ll += log(denom)
+            else:  # 1.0 * (1.0 / width) is the share 1/(l+1) exactly
                 degenerate = True
-                share = 1.0 / width
-                for e in sources:
-                    counts.setdefault(e, {})
-                    counts[e][f] = counts[e].get(f, 0.0) + share
-                    totals[e] = totals.get(e, 0.0) + share
+                values, denom = [1.0] * width, width
+            inv = 1.0 / denom
+            for s, e, v in zip(ids, sources, values):
+                v *= inv
+                counts[s] += v
+                totals[e] += v
         log_likelihood += float("-inf") if degenerate else pair_ll
-    return CountTable(counts, totals, corpus.source_vocab, corpus.target_vocab), log_likelihood
+    return counts, totals, log_likelihood
 
 
-def expectation_counts(corpus: ParallelCorpus, table: TranslationTable) -> CountTable:
-    """Expected number of times each source word aligns to each target word."""
-    counts, _ = _estep(corpus, table, table.epsilon)
-    return counts
+def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float],
+                      strategy: AddingStrategy | None, lam: float) -> tuple[list[float], dict, dict]:
+    """Re-estimate t from slot counts plus lambda-scaled pseudo-counts.
 
-
-def maximize_smoothed(
-    counts: CountTable,
-    strategy: AddingStrategy | None,
-    lam: float,
-    epsilon: float = 1.0,
-) -> TranslationTable:
-    """Re-estimate the table from counts plus lambda-scaled pseudo-counts.
-
-    Rows whose denominator is zero get the degenerate uniform row so the
-    result is always a full set of distributions.
+    Returns the new probability of every slot, the per-row defaults that
+    cover targets outside a row's slots, and pseudo-count entries that
+    fall outside the corpus support.  Rows whose denominator is zero get
+    the degenerate uniform row, so every row is a full distribution.
     """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    source_size = len(counts.source_vocab)
-    target_size = len(counts.target_vocab)
-    uniform = 1.0 / target_size
+    uniform = 1.0 / slots.target_size
     plain = lam == 0.0 or strategy is None
-    rows: dict[int, dict[int, float]] = {}
+    probs: list[float] = []
     defaults: dict[int, float] = {}
-    for e in range(source_size):
-        crow = counts.counts.get(e, _EMPTY)
-        total = counts.totals.get(e, 0.0)
-        if plain:
-            if total > 0.0:
-                rows[e] = {f: c / total for f, c in crow.items()}
-            else:
-                defaults[e] = uniform
-            continue
-        extras = strategy.extra_weights(e)
-        denom = total + lam * strategy.row_sum(e)
+    outside: dict[int, dict[int, float]] = {}
+    end = 0
+    for e, row in enumerate(slots.rows):
+        start, end = end, end + len(row)
+        extras, denom, added = _EMPTY, totals[e], 0.0
+        if not plain:
+            extras = strategy.extra_weights(e)
+            denom += lam * strategy.row_sum(e)
         if denom <= 0.0:
             defaults[e] = uniform
+            probs += [uniform] * len(row)
             continue
-        added = lam * strategy.base_weight(e)
-        row = {f: (c + added + lam * extras.get(f, 0.0)) / denom for f, c in crow.items()}
-        for f, g in extras.items():
-            if f not in row:
-                row[f] = (added + lam * g) / denom
-        rows[e] = row
+        if not plain:
+            added = lam * strategy.base_weight(e)
+        if extras:
+            probs += [
+                (c + added + lam * extras.get(f, 0.0)) / denom
+                for f, c in zip(row, counts[start:end])
+            ]
+            outside[e] = {f: (added + lam * g) / denom for f, g in extras.items() if f not in row}
+        else:  # c + 0.0 == c, so a plain row is c / total exactly
+            probs += [(c + added) / denom for c in counts[start:end]]
         if added > 0.0:
             defaults[e] = added / denom
-    return TranslationTable(rows, defaults, counts.source_vocab, counts.target_vocab, epsilon)
+    return probs, defaults, outside
+
+
+def build_table(corpus: ParallelCorpus, slots: SlotCorpus, estimate: tuple, epsilon: float) -> TranslationTable:
+    """The table of an M-step estimate: slots unequal to their row default, plus outside entries."""
+    probs, defaults, outside = estimate
+    rows: dict[int, dict[int, float]] = {}
+    end = 0
+    for e, row in enumerate(slots.rows):
+        start, end = end, end + len(row)
+        default = defaults.get(e, 0.0)
+        explicit = {f: p for f, p in zip(row, probs[start:end]) if p != default}
+        explicit.update(outside.get(e, ()))
+        if explicit:
+            rows[e] = explicit
+    return TranslationTable(rows, defaults, corpus.source_vocab, corpus.target_vocab, epsilon)
 
 
 def train(corpus: ParallelCorpus, config: TrainConfig | None = None) -> TrainResult:
@@ -158,10 +182,12 @@ def train(corpus: ParallelCorpus, config: TrainConfig | None = None) -> TrainRes
     under the table that iteration started from.
     """
     config = config or TrainConfig()
-    table = uniform_init(corpus.source_vocab, corpus.target_vocab, config.epsilon)
+    slots = compile_corpus(corpus)
+    probs = [1.0 / slots.target_size] * slots.slot_count
     trace = []
     for _ in range(config.iterations):
-        counts, log_likelihood = _estep(corpus, table, config.epsilon)
+        counts, totals, log_likelihood = _estep(slots, probs, config.epsilon)
         trace.append(log_likelihood)
-        table = maximize_smoothed(counts, config.strategy, config.lam, config.epsilon)
-    return TrainResult(table, tuple(trace))
+        estimate = maximize_smoothed(slots, counts, totals, config.strategy, config.lam)
+        probs = estimate[0]
+    return TrainResult(build_table(corpus, slots, estimate, config.epsilon), tuple(trace))

@@ -1,8 +1,11 @@
 """Shared fixtures: tiny corpora, random corpora, and independent EM oracles."""
 
+import math
 import random
 
-from alignsmooth import corpus_from_tokens
+from alignsmooth import NULL_ID, TranslationTable, corpus_from_tokens, uniform_init
+from alignsmooth.errors import UnknownTokenError
+from alignsmooth.trainer import _estep, build_table, compile_corpus, maximize_smoothed
 
 NULL = "<NULL>"
 
@@ -56,6 +59,29 @@ def reference_em(src_sentences, tgt_sentences, iterations, add=0.0):
     return t
 
 
+def weight(strategy, e, f):
+    """g(e, f) of an adding strategy."""
+    return strategy.base_weight(e) + strategy.extra_weights(e).get(f, 0.0)
+
+
+def cooc_count(stats, e, f):
+    """Pairs in which e and f co-occur; raises on ids outside the statistics."""
+    stats.source_count(e)
+    stats.target_count(f)
+    return stats.cooc.get(e, {}).get(f, 0)
+
+
+def tokens(vocab, ids):
+    return [vocab.word(i) for i in ids]
+
+
+def row_total(table, e):
+    """Sum of t(f|e) over the table's full target vocabulary."""
+    row = table.rows.get(e, {})
+    default = table.row_defaults.get(e, 0.0)
+    return sum(row.values()) + (len(table.target_vocab) - len(row)) * default
+
+
 def table_prob(corpus, table, e_word, f_word):
     """t(f|e) looked up by word strings; e_word may be the NULL token."""
     e = 0 if e_word == NULL else corpus.source_vocab.id(e_word)
@@ -89,3 +115,157 @@ def garbage_collector_corpus():
     src.append(["m0", "m1", "m2", "estar"])
     tgt.append(["r0", "r1", "r2", "gstar"])
     return corpus_from_tokens(src, tgt)
+
+
+# --- dict-of-dict EM and per-link scoring: the oracles the slot kernel and
+# the link_scores helper must match bit for bit ---------------------------
+
+_EMPTY = {}
+
+
+def dict_estep(corpus, table, epsilon):
+    """Expected counts {e: {f: c}}, per-source totals and the log-likelihood."""
+    if len(table.source_vocab) < len(corpus.source_vocab) or len(
+        table.target_vocab
+    ) < len(corpus.target_vocab):
+        raise UnknownTokenError("table vocabularies do not cover this corpus")
+    counts, totals = {}, {}
+    log_eps = math.log(epsilon)
+    log_likelihood = 0.0
+    for pair in corpus.pairs:
+        sources = (NULL_ID,) + pair.source
+        width = len(sources)
+        cached = [
+            (table.rows.get(e, _EMPTY), table.row_defaults.get(e, 0.0)) for e in sources
+        ]
+        pair_ll = log_eps - pair.target_length * math.log(width)
+        degenerate = False
+        for f in pair.target:
+            values = [row.get(f, default) for row, default in cached]
+            denom = sum(values)
+            if denom > 0.0:
+                pair_ll += math.log(denom)
+                inv = 1.0 / denom
+                for e, v in zip(sources, values):
+                    if v:
+                        share = v * inv
+                        counts.setdefault(e, {})
+                        counts[e][f] = counts[e].get(f, 0.0) + share
+                        totals[e] = totals.get(e, 0.0) + share
+            else:
+                degenerate = True
+                share = 1.0 / width
+                for e in sources:
+                    counts.setdefault(e, {})
+                    counts[e][f] = counts[e].get(f, 0.0) + share
+                    totals[e] = totals.get(e, 0.0) + share
+        log_likelihood += float("-inf") if degenerate else pair_ll
+    return counts, totals, log_likelihood
+
+
+def dict_mstep(counts, totals, source_vocab, target_vocab, strategy, lam, epsilon=1.0):
+    """Re-estimate a TranslationTable from dict counts; zero denominators go uniform."""
+    uniform = 1.0 / len(target_vocab)
+    plain = lam == 0.0 or strategy is None
+    rows, defaults = {}, {}
+    for e in range(len(source_vocab)):
+        crow = counts.get(e, _EMPTY)
+        total = totals.get(e, 0.0)
+        if plain:
+            if total > 0.0:
+                rows[e] = {f: c / total for f, c in crow.items()}
+            else:
+                defaults[e] = uniform
+            continue
+        extras = strategy.extra_weights(e)
+        denom = total + lam * strategy.row_sum(e)
+        if denom <= 0.0:
+            defaults[e] = uniform
+            continue
+        added = lam * strategy.base_weight(e)
+        row = {f: (c + added + lam * extras.get(f, 0.0)) / denom for f, c in crow.items()}
+        for f, g in extras.items():
+            if f not in row:
+                row[f] = (added + lam * g) / denom
+        rows[e] = row
+        if added > 0.0:
+            defaults[e] = added / denom
+    return TranslationTable(rows, defaults, source_vocab, target_vocab, epsilon)
+
+
+def dict_train(corpus, config):
+    """EM through dict_estep/dict_mstep: (table, log-likelihood trace)."""
+    table = uniform_init(corpus.source_vocab, corpus.target_vocab, config.epsilon)
+    trace = []
+    for _ in range(config.iterations):
+        counts, totals, log_likelihood = dict_estep(corpus, table, config.epsilon)
+        trace.append(log_likelihood)
+        table = dict_mstep(counts, totals, corpus.source_vocab, corpus.target_vocab,
+                           config.strategy, config.lam, config.epsilon)
+    return table, tuple(trace)
+
+
+def kernel_steps(corpus, strategy, lam, iterations, epsilon=1.0):
+    """Run the slot kernel step by step; yields (E-step totals, table after the M-step)."""
+    slots = compile_corpus(corpus)
+    probs = [1.0 / len(corpus.target_vocab)] * slots.slot_count
+    for _ in range(iterations):
+        counts, totals, _ = _estep(slots, probs, epsilon)
+        estimate = maximize_smoothed(slots, counts, totals, strategy, lam)
+        probs = estimate[0]
+        yield totals, build_table(corpus, slots, estimate, epsilon)
+
+
+def slot_count(slots, counts, e, f):
+    """Expected count of (e, f) from a per-slot count list; 0 off the support."""
+    slot = slots.rows[e].get(f)
+    return 0.0 if slot is None else counts[slot]
+
+
+def prob_posterior(pair, table):
+    sources = (NULL_ID,) + pair.source
+    posterior = []
+    for f in pair.target:
+        values = [table.prob(e, f) for e in sources]
+        denom = sum(values)
+        if denom > 0.0:
+            posterior.append([v / denom for v in values])
+        else:
+            posterior.append([1.0 / len(sources)] * len(sources))
+    return posterior
+
+
+def prob_viterbi(pair, table):
+    sources = (NULL_ID,) + pair.source
+    alignment = []
+    for f in pair.target:
+        best_i, best_v = 0, table.prob(sources[0], f)
+        for i in range(1, len(sources)):
+            v = table.prob(sources[i], f)
+            if v > best_v:
+                best_i, best_v = i, v
+        alignment.append(best_i)
+    return tuple(alignment)
+
+
+def prob_pair_log_likelihood(pair, table):
+    sources = (NULL_ID,) + pair.source
+    total = math.log(table.epsilon) - pair.target_length * math.log(len(sources))
+    for f in pair.target:
+        denom = sum(table.prob(e, f) for e in sources)
+        if denom <= 0.0:
+            return float("-inf")
+        total += math.log(denom)
+    return total
+
+
+def prob_aligned_log_likelihood(pairs, alignments, table):
+    total = 0.0
+    for pair, alignment in zip(pairs, alignments):
+        sources = (NULL_ID,) + pair.source
+        for f, i in zip(pair.target, alignment):
+            t = table.prob(sources[i], f)
+            if t <= 0.0:
+                return float("-inf")
+            total += math.log(t)
+    return total

@@ -19,15 +19,12 @@ from alignsmooth import (
     aer,
     alignment_error_count,
     corpus_from_tokens,
-    expectation_counts,
     make_strategy,
-    maximize_smoothed,
     occurrence_stats,
     search_scale,
     smoothed_error_count,
     train,
     tune,
-    uniform_init,
     viterbi_align,
 )
 from alignsmooth.cli import main
@@ -37,10 +34,13 @@ from alignsmooth.tuner import DEFAULT_GRID
 from helpers import (
     NULL,
     garbage_collector_corpus,
+    kernel_steps,
     random_corpus,
     reference_em,
+    row_total,
     t1_corpus,
     table_prob,
+    tokens,
 )
 
 
@@ -78,8 +78,8 @@ def test_lambda_zero_identity(name):
 def test_moore_equivalence(n):
     """add-one with lambda=n matches (count+n)/(count+n|F|) after every iteration."""
     corpus = random_corpus(23, max_pairs=12, source_types=5, target_types=6)
-    src = [corpus.source_tokens(p) for p in corpus.pairs]
-    tgt = [corpus.target_tokens(p) for p in corpus.pairs]
+    src = [tokens(corpus.source_vocab, p.source) for p in corpus.pairs]
+    tgt = [tokens(corpus.target_vocab, p.target) for p in corpus.pairs]
     strategy = make_strategy("add-one", occurrence_stats(corpus))
     for iterations in range(1, 11):
         table = train(corpus, TrainConfig(iterations, n, strategy)).table
@@ -102,15 +102,10 @@ def test_normalization_suite():
         for name in ("add-one", "add-source-count", "add-dice"):
             strategy = make_strategy(name, stats)
             for lam in (0.0, 0.7, 5.0):
-                table = uniform_init(corpus.source_vocab, corpus.target_vocab)
-                for _ in range(3):
-                    counts = expectation_counts(corpus, table)
-                    assert sum(counts.totals.values()) == pytest.approx(
-                        target_tokens, abs=1e-9
-                    )
-                    table = maximize_smoothed(counts, strategy, lam)
+                for totals, table in kernel_steps(corpus, strategy, lam, 3):
+                    assert sum(totals) == pytest.approx(target_tokens, abs=1e-9)
                     for e in range(len(corpus.source_vocab)):
-                        assert table.row_total(e) == pytest.approx(1.0, abs=1e-9)
+                        assert row_total(table, e) == pytest.approx(1.0, abs=1e-9)
                         checked_rows += 1
     print(f"ACCEPTANCE PASS: normalization suite ({checked_rows} rows within 1e-9)")
 

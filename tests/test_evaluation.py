@@ -9,7 +9,6 @@ from alignsmooth import (
     corpus_from_tokens,
     evaluate_corpus,
     precision,
-    predicted_links,
     recall,
     train,
     viterbi_align,
@@ -33,8 +32,9 @@ class TestPredictedLinks:
     def test_from_table(self):
         corpus = t1_corpus()
         table = train(corpus, TrainConfig(iterations=1)).table
-        assert predicted_links(corpus.pairs[0], table) == {(2, 2)}
-        assert predicted_links(corpus.pairs[0], table, emit_null=True) == {(0, 1), (2, 2)}
+        alignment = viterbi_align(corpus.pairs[0], table)
+        assert links_from_alignment(alignment) == {(2, 2)}
+        assert links_from_alignment(alignment, emit_null=True) == {(0, 1), (2, 2)}
 
 
 class TestMetrics:

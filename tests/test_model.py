@@ -19,7 +19,7 @@ from alignsmooth import (
 )
 from alignsmooth.corpus import NULL_TOKEN, SentencePair
 
-from helpers import random_corpus, t1_corpus
+from helpers import random_corpus, row_total, t1_corpus
 
 
 def vocabs(n_source, n_target):
@@ -58,7 +58,7 @@ class TestUniformInit:
         source, target = vocabs(4, 7)
         table = uniform_init(source, target)
         for e in range(len(source)):
-            assert table.row_total(e) == pytest.approx(1.0, abs=1e-12)
+            assert row_total(table, e) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_vocab_rejected(self):
         source, _ = vocabs(2, 3)
@@ -197,7 +197,7 @@ class TestModelFile:
         loaded, _ = read_table(path)
         # every pair had nonzero probability, so the reload covers all of them
         for e in range(len(corpus.source_vocab)):
-            assert loaded.row_total(e) == pytest.approx(1.0, abs=1e-9)
+            assert row_total(loaded, e) == pytest.approx(1.0, abs=1e-9)
 
     def test_null_token_reserved_after_reload(self, tmp_path):
         corpus = t1_corpus()
@@ -206,3 +206,60 @@ class TestModelFile:
         write_table(table, path)
         loaded, _ = read_table(path)
         assert loaded.source_vocab.word(0) == NULL_TOKEN
+
+    def test_sparse_file_restores_defaults(self, tmp_path):
+        from alignsmooth import AddOne
+
+        corpus = t1_corpus()
+        table = train(corpus, TrainConfig(2, 1.0, AddOne(3))).table
+        path = tmp_path / "model.tsv"
+        write_table(table, path)
+        lines = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+        assert sum(1 for line in lines if line.split("\t")[1] == "") == len(table.row_defaults)
+        assert len(lines) == len(table.row_defaults) + sum(len(row) for row in table.rows.values())
+        loaded, _ = read_table(path)
+        for e, default in table.row_defaults.items():
+            word = corpus.source_vocab.word(e)
+            assert loaded.row_defaults[loaded.source_vocab.id(word)] == default
+
+    def test_full_format_file_still_loads(self, tmp_path):
+        from alignsmooth import AddOne
+
+        corpus = t1_corpus()
+        table = train(corpus, TrainConfig(2, 1.0, AddOne(3))).table
+        sv, tv = corpus.source_vocab, corpus.target_vocab
+        path = tmp_path / "model.tsv"
+        # the earlier format: every row spelled out in full, no default lines
+        path.write_text("# epsilon: 1.0\n" + "".join(
+            f"{sv.word(e)}\t{tv.word(f)}\t{table.prob(e, f)!r}\n"
+            for e in range(len(sv)) for f in range(len(tv))
+        ), encoding="utf-8")
+        loaded, _ = read_table(path)
+        assert loaded.row_defaults == {}
+        for e in range(len(sv)):
+            for f in range(len(tv)):
+                got = loaded.prob(loaded.source_vocab.id(sv.word(e)), loaded.target_vocab.id(tv.word(f)))
+                assert got == table.prob(e, f)
+
+    def test_subset_model_keeps_default_only_target_words(self, tmp_path):
+        from alignsmooth import AddOne
+
+        # target words outside the slice have only row defaults
+        corpus = random_corpus(11, max_pairs=20)
+        part = corpus.subset([0])
+        table = train(part, TrainConfig(2, 0.5, AddOne(len(corpus.target_vocab)))).table
+        path = tmp_path / "model.tsv"
+        write_table(table, path)
+        loaded, _ = read_table(path)
+        assert len(loaded.target_vocab) == len(corpus.target_vocab)
+        for f_word in corpus.target_vocab.words:
+            f = corpus.target_vocab.id(f_word)
+            assert loaded.prob(0, loaded.target_vocab.id(f_word)) == table.prob(0, f)
+
+    def test_empty_source_field_rejected(self, tmp_path):
+        from alignsmooth import DataFormatError
+
+        path = tmp_path / "model.tsv"
+        path.write_text("\tthe\t0.5\n", encoding="utf-8")
+        with pytest.raises(DataFormatError):
+            read_table(path)

@@ -10,7 +10,7 @@ from alignsmooth import (
 )
 from alignsmooth.corpus import NULL_ID
 
-from helpers import random_corpus, t1_corpus
+from helpers import cooc_count, random_corpus, t1_corpus, weight
 
 
 @pytest.fixture
@@ -22,8 +22,8 @@ def t1_stats():
 class TestAddOne:
     def test_constant_one(self):
         strategy = AddOne(3)
-        assert strategy.weight(0, 0) == 1.0
-        assert strategy.weight(5, 2) == 1.0
+        assert weight(strategy, 0, 0) == 1.0
+        assert weight(strategy, 5, 2) == 1.0
 
     def test_row_sum_is_vocab_size(self):
         assert AddOne(3).row_sum(1) == 3.0
@@ -35,13 +35,13 @@ class TestAddSourceCount:
         strategy = AddSourceCount(stats)
         sv, tv = corpus.source_vocab, corpus.target_vocab
         das = sv.id("das")
-        assert strategy.weight(das, tv.id("the")) == 2.0
-        assert strategy.weight(das, tv.id("book")) == 2.0  # independent of f
-        assert strategy.weight(sv.id("haus"), tv.id("the")) == 1.0
+        assert weight(strategy, das, tv.id("the")) == 2.0
+        assert weight(strategy, das, tv.id("book")) == 2.0  # independent of f
+        assert weight(strategy, sv.id("haus"), tv.id("the")) == 1.0
 
     def test_null_uses_pair_count(self, t1_stats):
         _, stats = t1_stats
-        assert AddSourceCount(stats).weight(NULL_ID, 0) == 2.0
+        assert weight(AddSourceCount(stats), NULL_ID, 0) == 2.0
 
     def test_row_sum(self, t1_stats):
         corpus, stats = t1_stats
@@ -51,7 +51,7 @@ class TestAddSourceCount:
     def test_unknown_source_raises(self, t1_stats):
         _, stats = t1_stats
         with pytest.raises(UnknownTokenError):
-            AddSourceCount(stats).weight(99, 0)
+            weight(AddSourceCount(stats), 99, 0)
 
 
 class TestAddDice:
@@ -59,9 +59,9 @@ class TestAddDice:
         corpus, stats = t1_stats
         strategy = AddDice(stats)
         sv, tv = corpus.source_vocab, corpus.target_vocab
-        assert strategy.weight(sv.id("das"), tv.id("the")) == pytest.approx(1.0)
-        assert strategy.weight(sv.id("haus"), tv.id("the")) == pytest.approx(2 / 3)
-        assert strategy.weight(sv.id("haus"), tv.id("book")) == 0.0
+        assert weight(strategy, sv.id("das"), tv.id("the")) == pytest.approx(1.0)
+        assert weight(strategy, sv.id("haus"), tv.id("the")) == pytest.approx(2 / 3)
+        assert weight(strategy, sv.id("haus"), tv.id("book")) == 0.0
 
     def test_row_sum_covers_cooccurring_only(self, t1_stats):
         corpus, stats = t1_stats
@@ -77,9 +77,9 @@ class TestAddDice:
         strategy = AddDice(stats)
         for e in range(len(corpus.source_vocab)):
             for f in range(len(corpus.target_vocab)):
-                g = strategy.weight(e, f)
+                g = weight(strategy, e, f)
                 assert 0.0 <= g <= 1.0
-                assert (g == 0.0) == (stats.cooc_count(e, f) == 0)
+                assert (g == 0.0) == (cooc_count(stats, e, f) == 0)
 
 
 class TestStrategyContracts:
@@ -89,7 +89,7 @@ class TestStrategyContracts:
         stats = occurrence_stats(corpus)
         strategy = make_strategy(name, stats)
         for e in range(len(corpus.source_vocab)):
-            explicit = sum(strategy.weight(e, f) for f in range(len(corpus.target_vocab)))
+            explicit = sum(weight(strategy, e, f) for f in range(len(corpus.target_vocab)))
             assert strategy.row_sum(e) == pytest.approx(explicit, abs=1e-9)
 
     @pytest.mark.parametrize("name", ["add-one", "add-source-count", "add-dice"])
@@ -97,8 +97,8 @@ class TestStrategyContracts:
         corpus = t1_corpus()
         strategy = make_strategy(name, occurrence_stats(corpus))
         pairs = [(e, f) for e in range(4) for f in range(3)]
-        first = [strategy.weight(e, f) for e, f in pairs]
-        second = [strategy.weight(e, f) for e, f in pairs]
+        first = [weight(strategy, e, f) for e, f in pairs]
+        second = [weight(strategy, e, f) for e, f in pairs]
         assert first == second
 
     def test_unknown_name(self):
@@ -112,4 +112,4 @@ class TestStrategyContracts:
             strategy = make_strategy(name, stats)
             for e in range(len(corpus.source_vocab)):
                 for f in range(len(corpus.target_vocab)):
-                    assert strategy.weight(e, f) >= 0.0
+                    assert weight(strategy, e, f) >= 0.0

@@ -5,15 +5,23 @@ import pytest
 from alignsmooth import (
     AddOne,
     TrainConfig,
-    expectation_counts,
+    UnknownTokenError,
     make_strategy,
-    maximize_smoothed,
     occurrence_stats,
     train,
-    uniform_init,
 )
+from alignsmooth.corpus import ParallelCorpus
+from alignsmooth.trainer import _estep, build_table, compile_corpus, maximize_smoothed
 
-from helpers import random_corpus, reference_em, t1_corpus, table_prob, NULL
+from helpers import kernel_steps, random_corpus, reference_em, row_total, slot_count, t1_corpus, table_prob, NULL
+
+
+def uniform_estep(corpus):
+    """Slots, per-slot counts and per-source totals of the E-step from the uniform table."""
+    slots = compile_corpus(corpus)
+    probs = [1.0 / len(corpus.target_vocab)] * slots.slot_count
+    counts, totals, _ = _estep(slots, probs, 1.0)
+    return slots, counts, totals
 
 
 @pytest.fixture
@@ -23,74 +31,76 @@ def t1():
 
 @pytest.fixture
 def t1_counts(t1):
-    table = uniform_init(t1.source_vocab, t1.target_vocab)
-    return expectation_counts(t1, table)
+    return uniform_estep(t1)
 
 
 class TestExpectationCounts:
     def test_t1_expected_values(self, t1, t1_counts):
+        slots, counts, totals = t1_counts
         sv, tv = t1.source_vocab, t1.target_vocab
-        assert t1_counts.count(sv.id("das"), tv.id("the")) == pytest.approx(2 / 3, abs=1e-12)
-        assert t1_counts.total(sv.id("das")) == pytest.approx(4 / 3, abs=1e-12)
+        assert slot_count(slots, counts, sv.id("das"), tv.id("the")) == pytest.approx(2 / 3, abs=1e-12)
+        assert totals[sv.id("das")] == pytest.approx(4 / 3, abs=1e-12)
 
     def test_no_cooccurrence_no_mass(self, t1, t1_counts):
+        slots, counts, _ = t1_counts
         sv, tv = t1.source_vocab, t1.target_vocab
-        assert t1_counts.count(sv.id("haus"), tv.id("book")) == 0.0
+        assert slot_count(slots, counts, sv.id("haus"), tv.id("book")) == 0.0
 
     def test_total_mass_equals_target_tokens(self, t1, t1_counts):
-        assert sum(t1_counts.totals.values()) == pytest.approx(4.0, abs=1e-12)
+        assert sum(t1_counts[2]) == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_row_totals_match_row_sums(self, seed):
         corpus = random_corpus(seed, max_pairs=15)
-        table = uniform_init(corpus.source_vocab, corpus.target_vocab)
-        counts = expectation_counts(corpus, table)
-        for e, row in counts.counts.items():
-            assert counts.total(e) == pytest.approx(sum(row.values()), abs=1e-9)
+        slots, counts, totals = uniform_estep(corpus)
+        for e, row in enumerate(slots.rows):
+            assert totals[e] == pytest.approx(sum(counts[s] for s in row.values()), abs=1e-9)
 
     def test_vocabulary_mismatch_raises(self):
-        from alignsmooth import UnknownTokenError
-
         small = t1_corpus()
         big = random_corpus(1, max_pairs=10, source_types=12, target_types=12)
-        table = uniform_init(small.source_vocab, small.target_vocab)
         with pytest.raises(UnknownTokenError):
-            expectation_counts(big, table)
+            train(ParallelCorpus(big.pairs, small.source_vocab, small.target_vocab))
 
 
 class TestMaximizeSmoothed:
-    def test_plain_mstep_t1(self, t1, t1_counts):
-        table = maximize_smoothed(t1_counts, None, 0.0)
+    """One iteration of train is one M-step on the uniform E-step's counts."""
+
+    def test_plain_mstep_t1(self, t1):
+        table = train(t1, TrainConfig(iterations=1)).table
         assert table_prob(t1, table, "das", "the") == pytest.approx(0.5, abs=1e-12)
         assert table_prob(t1, table, "das", "house") == pytest.approx(0.25, abs=1e-12)
         assert table_prob(t1, table, "haus", "the") == pytest.approx(0.5, abs=1e-12)
 
-    def test_add_one_lambda_one(self, t1, t1_counts):
-        table = maximize_smoothed(t1_counts, AddOne(3), 1.0)
+    def test_add_one_lambda_one(self, t1):
+        table = train(t1, TrainConfig(1, 1.0, AddOne(3))).table
         assert table_prob(t1, table, "das", "the") == pytest.approx(5 / 13, abs=1e-12)
         assert table_prob(t1, table, "das", "house") == pytest.approx(4 / 13, abs=1e-12)
 
     def test_add_one_matches_closed_form(self, t1, t1_counts):
         # lambda = n reproduces (count + n) / (count + n|F|) for every entry
         n = 2.5
-        table = maximize_smoothed(t1_counts, AddOne(3), n)
+        slots, counts, totals = t1_counts
+        table = train(t1, TrainConfig(1, n, AddOne(3))).table
         for e in range(len(t1.source_vocab)):
             for f in range(len(t1.target_vocab)):
-                closed = (t1_counts.count(e, f) + n) / (t1_counts.total(e) + n * 3)
+                closed = (slot_count(slots, counts, e, f) + n) / (totals[e] + n * 3)
                 assert table.prob(e, f) == pytest.approx(closed, abs=1e-15)
 
-    def test_negative_lambda_rejected(self, t1_counts):
+    def test_negative_lambda_rejected(self, t1):
         with pytest.raises(ValueError):
-            maximize_smoothed(t1_counts, AddOne(3), -0.5)
+            train(t1, TrainConfig(1, -0.5, AddOne(3)))
 
     def test_zero_denominator_row_goes_uniform(self, t1, t1_counts):
         # wipe one source word's counts to force the degenerate rule
+        slots, counts, totals = t1_counts
         das = t1.source_vocab.id("das")
-        t1_counts.counts.pop(das)
-        t1_counts.totals.pop(das)
-        table = maximize_smoothed(t1_counts, None, 0.0)
+        for s in slots.rows[das].values():
+            counts[s] = 0.0
+        totals[das] = 0.0
+        table = build_table(t1, slots, maximize_smoothed(slots, counts, totals, None, 0.0), 1.0)
         assert table.prob(das, 0) == pytest.approx(1 / 3)
-        assert table.row_total(das) == pytest.approx(1.0, abs=1e-12)
+        assert row_total(table, das) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTrain:
@@ -144,14 +154,11 @@ class TestTrain:
     def test_rows_normalized_after_every_mstep(self, name, lam):
         corpus = random_corpus(9, max_pairs=20)
         strategy = make_strategy(name, occurrence_stats(corpus))
-        table = uniform_init(corpus.source_vocab, corpus.target_vocab)
         target_tokens = sum(p.target_length for p in corpus.pairs)
-        for _ in range(3):
-            counts = expectation_counts(corpus, table)
-            assert sum(counts.totals.values()) == pytest.approx(target_tokens, abs=1e-9)
-            table = maximize_smoothed(counts, strategy, lam)
+        for totals, table in kernel_steps(corpus, strategy, lam, 3):
+            assert sum(totals) == pytest.approx(target_tokens, abs=1e-9)
             for e in range(len(corpus.source_vocab)):
-                assert table.row_total(e) == pytest.approx(1.0, abs=1e-9)
+                assert row_total(table, e) == pytest.approx(1.0, abs=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
