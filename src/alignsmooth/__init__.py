@@ -23,19 +23,12 @@ from .errors import (
     TuningError,
     UnknownTokenError,
 )
-from .evaluation import (
-    EvalReport,
-    aer,
-    evaluate_corpus,
-    precision,
-    recall,
-)
+from .evaluation import EvalReport, evaluate_corpus
 from .model import (
     TranslationTable,
     link_posterior,
     pair_log_likelihood,
     read_table,
-    uniform_init,
     viterbi_align,
     write_table,
 )

@@ -18,16 +18,15 @@ from .corpus import (
     load_parallel_corpus,
     occurrence_stats,
     split_annotated,
-    split_unannotated,
 )
 from .errors import DataFormatError, TuningError, UnknownTokenError
 from .evaluation import evaluate_corpus
-from .experiment import ExperimentSpec, report_text, report_tsv, run_experiment
+from .experiment import ExperimentSpec, report_text, report_tsv, run_experiment, tuning_data
 from .model import TranslationTable, read_table, viterbi_align, write_table
-from .objectives import OBJECTIVE_NAMES, DevSet, Objective
+from .objectives import OBJECTIVE_NAMES, Objective
 from .smoothing import STRATEGY_NAMES, make_strategy
 from .trainer import TrainConfig, train
-from .tuner import TuneConfig, tune
+from .tuner import DEFAULT_GRID, TuneConfig, tune
 
 
 class _UsageError(Exception):
@@ -50,8 +49,8 @@ def _train_args(sub):
     sub.add_argument("--epsilon", type=float, default=1.0, help="model constant (default 1)")
 
 
-def _tune_args(sub):
-    sub.add_argument("--grid", type=_parse_grid, default=None,
+def _tune_args(sub, dev_size_default):
+    sub.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID,
                      help="comma-separated lambda candidates (default log-spaced 1e-4..1e4 plus 0)")
     sub.add_argument("--tol", type=float, default=1e-4, help="refinement tolerance on lambda")
     sub.add_argument("--max-evals", type=int, default=100, help="refinement evaluation cap")
@@ -59,7 +58,7 @@ def _tune_args(sub):
                      help="sharpness of the smoothed error count (default 10)")
     sub.add_argument("--seed", type=int, default=13, help="seed for all data splits")
     sub.add_argument("--dev-size", type=int, default=None,
-                     help="annotated pairs held out for tuning (default: a third)")
+                     help=f"annotated pairs held out for tuning (default: {dev_size_default})")
     sub.add_argument("--dev-fraction", type=float, default=0.1,
                      help="corpus fraction held out for ml-unannotated tuning")
 
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("tune", help="search the smoothing scale on development data")
     _corpus_args(p)
     _train_args(p)
-    _tune_args(p)
+    _tune_args(p, "every annotated pair")
     p.add_argument("-a", "--annotations", default=None, help="gold alignment file")
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="add-one")
     p.add_argument("--objective", choices=OBJECTIVE_NAMES, default="smoothed-error-count")
@@ -116,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="baseline plus the full strategy-by-objective grid")
     _corpus_args(p)
     _train_args(p)
-    _tune_args(p)
+    _tune_args(p, "a third of the annotated pairs")
     p.add_argument("-a", "--annotations", required=True)
     p.add_argument("--strategies", default=",".join(STRATEGY_NAMES),
                    help="comma-separated adding strategies to run")
@@ -193,35 +192,22 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _tune_setup(args, corpus: ParallelCorpus, objective: Objective):
-    """Resolve the (train corpus, dev set) pair an objective tunes against."""
-    if objective.requires_annotation:
-        if not args.annotations:
-            raise ValueError(f"objective {objective.name!r} requires --annotations")
-        annotation = load_annotations(args.annotations, corpus)
-        if args.dev_size is not None:
-            dev_annotation, _ = split_annotated(annotation, args.dev_size, args.seed)
-        else:
-            dev_annotation = annotation
-        return corpus, DevSet.from_annotations(corpus, dev_annotation)
-    train_part, dev_part = split_unannotated(corpus, args.dev_fraction, args.seed)
-    return train_part, DevSet.unannotated(dev_part.pairs)
-
-
-def _tune_config(args) -> TuneConfig:
-    if args.grid is None:
-        return TuneConfig(tolerance=args.tol, max_refine_evals=args.max_evals)
-    return TuneConfig(grid=args.grid, tolerance=args.tol, max_refine_evals=args.max_evals)
-
-
 def cmd_tune(args) -> int:
     corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
     objective = Objective(args.objective, args.alpha)
-    train_corpus, dev = _tune_setup(args, corpus, objective)
+    dev_annotation = None
+    if objective.requires_annotation:
+        if not args.annotations:
+            raise ValueError(f"objective {objective.name!r} requires --annotations")
+        dev_annotation = load_annotations(args.annotations, corpus)
+        if args.dev_size is not None:
+            dev_annotation, _ = split_annotated(dev_annotation, args.dev_size, args.seed)
+    train_corpus, dev = tuning_data(corpus, objective, dev_annotation, args.dev_fraction, args.seed)
     strategy = make_strategy(args.strategy, occurrence_stats(train_corpus))
     result = tune(
         train_corpus, dev, strategy, objective,
-        _tune_config(args), TrainConfig(iterations=args.iters, epsilon=args.epsilon),
+        TuneConfig(args.grid, args.tol, args.max_evals),
+        TrainConfig(iterations=args.iters, epsilon=args.epsilon),
     )
     lines = [
         f"strategy\t{result.strategy}",
@@ -252,28 +238,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    strategies = tuple(x for x in args.strategies.split(",") if x)
-    objectives = tuple(x for x in args.objectives.split(",") if x)
-    for name in strategies:
-        if name not in STRATEGY_NAMES:
-            raise ValueError(f"unknown adding strategy {name!r}")
-    for name in objectives:
-        if name not in OBJECTIVE_NAMES:
-            raise ValueError(f"unknown objective {name!r}")
     spec = ExperimentSpec(
         source_path=args.source,
         target_path=args.target,
         annotations_path=args.annotations,
         out_dir=args.out,
-        strategies=strategies,
-        objectives=objectives,
+        strategies=tuple(x for x in args.strategies.split(",") if x),
+        objectives=tuple(x for x in args.objectives.split(",") if x),
         dev_size=args.dev_size,
         dev_fraction=args.dev_fraction,
         seed=args.seed,
         iterations=args.iters,
         epsilon=args.epsilon,
         alpha=args.alpha,
-        tune_config=_tune_config(args),
+        tune_config=TuneConfig(args.grid, args.tol, args.max_evals),
         lowercase=args.lowercase,
     )
     baseline_report, cells = run_experiment(spec)

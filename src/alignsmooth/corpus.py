@@ -72,9 +72,6 @@ class Vocabulary:
             return self._id_to_word[wid]
         raise UnknownTokenError(f"no token with id {wid}")
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._word_to_id
-
     def __len__(self) -> int:
         return len(self._id_to_word)
 
@@ -109,9 +106,6 @@ class ParallelCorpus:
     pairs: list[SentencePair]
     source_vocab: Vocabulary
     target_vocab: Vocabulary
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     def subset(self, indices) -> "ParallelCorpus":
         """A corpus over the given pair indices, sharing both vocabularies."""
@@ -161,11 +155,6 @@ def corpus_from_tokens(source_sentences, target_sentences) -> ParallelCorpus:
 def load_parallel_corpus(source_path, target_path, lowercase: bool = False) -> ParallelCorpus:
     source_sentences = read_token_lines(source_path, lowercase)
     target_sentences = read_token_lines(target_path, lowercase)
-    if len(source_sentences) != len(target_sentences):
-        raise DataFormatError(
-            f"line count mismatch: {source_path} has {len(source_sentences)} lines, "
-            f"{target_path} has {len(target_sentences)}"
-        )
     return corpus_from_tokens(source_sentences, target_sentences)
 
 
@@ -183,17 +172,11 @@ class OccurrenceStats:
     source_counts: list[int]
     target_counts: list[int]
     cooc: dict[int, dict[int, int]]
-    pair_count: int
 
     def source_count(self, e: int) -> int:
         if not 0 <= e < len(self.source_counts):
             raise UnknownTokenError(f"no source token with id {e}")
         return self.source_counts[e]
-
-    def target_count(self, f: int) -> int:
-        if not 0 <= f < len(self.target_counts):
-            raise UnknownTokenError(f"no target token with id {f}")
-        return self.target_counts[f]
 
     def cooc_row(self, e: int) -> dict[int, int]:
         self.source_count(e)
@@ -215,7 +198,7 @@ def occurrence_stats(corpus: ParallelCorpus) -> OccurrenceStats:
             for f in target_set:
                 row[f] = row.get(f, 0) + 1
     source_counts[NULL_ID] = len(corpus.pairs)
-    return OccurrenceStats(source_counts, target_counts, cooc, len(corpus.pairs))
+    return OccurrenceStats(source_counts, target_counts, cooc)
 
 
 @dataclass(frozen=True)
@@ -232,9 +215,6 @@ class AnnotationSet:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, pair_index: int) -> bool:
-        return pair_index in self.entries
 
     def pair_indices(self) -> list[int]:
         return sorted(self.entries)

@@ -60,44 +60,22 @@ def links_from_alignment(alignment, emit_null: bool = False) -> set[Link]:
     }
 
 
-def precision(links: set[Link], possible: frozenset[Link] | set[Link]) -> float:
-    if not links:
-        return 1.0
-    return len(links & possible) / len(links)
-
-
-def recall(links: set[Link], sure: frozenset[Link] | set[Link]) -> float:
-    if not sure:
-        return 1.0
-    return len(links & sure) / len(sure)
-
-
-def aer(links: set[Link], sure, possible) -> float:
-    denom = len(links) + len(sure)
-    if denom == 0:
-        return 0.0
-    return 1.0 - (len(links & possible) + len(links & sure)) / denom
-
-
 def evaluate_corpus(
     table: TranslationTable,
     corpus: ParallelCorpus,
     annotation: AnnotationSet,
-    pair_subset=None,
     emit_null: bool = False,
 ) -> EvalReport:
-    """Micro-averaged report over annotated pairs (or an explicit subset).
+    """Micro-averaged report over the annotated pairs.
 
     The error count compares Viterbi links against the sure-only
     restricted adaptation of the gold annotation.
     """
-    indices = sorted(pair_subset) if pair_subset is not None else annotation.pair_indices()
-    if not indices:
+    if not annotation.entries:
         raise ValueError("no pairs to evaluate")
     total_links = total_sure = hit_possible = hit_sure = 0
     errors = 0
-    for k in indices:
-        entry = annotation.entry(k)
+    for k, entry in sorted(annotation.entries.items()):
         pair = corpus.pairs[k]
         deduced = viterbi_align(pair, table)
         links = links_from_alignment(deduced, emit_null)
@@ -113,7 +91,7 @@ def evaluate_corpus(
         recall=hit_sure / total_sure if total_sure else 1.0,
         aer=1.0 - (hit_possible + hit_sure) / denom if denom else 0.0,
         error_count=errors,
-        pair_count=len(indices),
+        pair_count=len(annotation),
         link_count=total_links,
         sure_count=total_sure,
     )

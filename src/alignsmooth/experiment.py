@@ -46,6 +46,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.strategies or not self.objectives:
             raise ValueError("need at least one strategy and one objective")
+        for name in self.strategies:
+            if name not in STRATEGY_NAMES:
+                raise ValueError(f"unknown adding strategy {name!r}")
+        for name in self.objectives:
+            if name not in OBJECTIVE_NAMES:
+                raise ValueError(f"unknown objective {name!r}")
 
 
 @dataclass
@@ -58,6 +64,19 @@ class CellResult:
     error_count: int | None = None
     decrease: float | None = None
     reason: str | None = None
+
+
+def tuning_data(corpus, objective: Objective, dev_annotation, dev_fraction: float, seed: int):
+    """The (training corpus, dev set) an objective tunes on.
+
+    Annotated objectives train on the whole corpus and score the gold
+    links of ``dev_annotation``; ml-unannotated trains on a slice and
+    scores the held-out rest, split by ``dev_fraction`` and ``seed``.
+    """
+    if objective.requires_annotation:
+        return corpus, DevSet.from_annotations(corpus, dev_annotation)
+    train_part, dev_part = split_unannotated(corpus, dev_fraction, seed)
+    return train_part, DevSet.unannotated(dev_part.pairs)
 
 
 def run_experiment(spec: ExperimentSpec):
@@ -77,8 +96,8 @@ def run_experiment(spec: ExperimentSpec):
     baseline = train(corpus, TrainConfig(spec.iterations, 0.0, None, spec.epsilon))
     baseline_report = evaluate_corpus(baseline.table, corpus, test_annotation)
 
-    dev_annotated = DevSet.from_annotations(corpus, dev_annotation)
-    unannotated_setup = None  # built lazily; only ml-unannotated cells need it
+    # training corpus name -> (corpus, dev set, statistics), built on first use
+    setups = {}
     # the lambda = 0 table of each training corpus ("full" or "slice"), shared by all strategies
     zero_tables = {"full": baseline.table}
 
@@ -91,21 +110,14 @@ def run_experiment(spec: ExperimentSpec):
             cells.append(cell)
             try:
                 objective = Objective(objective_name, spec.alpha)
-                if objective.requires_annotation:
-                    tune_corpus, dev, tune_stats = corpus, dev_annotated, stats
-                    corpus_name = "full"
-                else:
-                    if unannotated_setup is None:
-                        train_part, dev_part = split_unannotated(
-                            corpus, spec.dev_fraction, spec.seed
-                        )
-                        unannotated_setup = (
-                            train_part,
-                            DevSet.unannotated(dev_part.pairs),
-                            occurrence_stats(train_part),
-                        )
-                    tune_corpus, dev, tune_stats = unannotated_setup
-                    corpus_name = "slice"
+                corpus_name = "full" if objective.requires_annotation else "slice"
+                if corpus_name not in setups:
+                    tune_corpus, dev = tuning_data(
+                        corpus, objective, dev_annotation, spec.dev_fraction, spec.seed
+                    )
+                    tune_stats = stats if tune_corpus is corpus else occurrence_stats(tune_corpus)
+                    setups[corpus_name] = tune_corpus, dev, tune_stats
+                tune_corpus, dev, tune_stats = setups[corpus_name]
                 result = tune(
                     tune_corpus, dev, make_strategy(strategy_name, tune_stats), objective,
                     spec.tune_config, TrainConfig(iterations=spec.iterations, epsilon=spec.epsilon),

@@ -50,15 +50,6 @@ class TranslationTable:
         return self.rows.get(e, _EMPTY).get(f, self.row_defaults.get(e, 0.0))
 
 
-def uniform_init(source_vocab: Vocabulary, target_vocab: Vocabulary, epsilon: float = 1.0) -> TranslationTable:
-    """t(f|e) = 1/|F| for every source word, the standard starting point."""
-    if len(source_vocab) == 0 or len(target_vocab) == 0:
-        raise ValueError("vocabularies must be non-empty")
-    share = 1.0 / len(target_vocab)
-    defaults = {e: share for e in range(len(source_vocab))}
-    return TranslationTable({}, defaults, source_vocab, target_vocab, epsilon)
-
-
 def link_scores(pair: SentencePair, table: TranslationTable):
     """Yield [t(f|NULL), t(f|e_1), ..., t(f|e_l)] for each target word f of the pair.
 
@@ -158,16 +149,23 @@ def read_table(path) -> tuple[TranslationTable, dict]:
     rows: dict[int, dict[int, float]] = {}
     defaults: dict[int, float] = {}
     metadata: dict[str, str] = {}
+    epsilon = 1.0
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    metadata[key.strip()] = value.strip()
+                key, colon, value = (part.strip() for part in line[1:].partition(":"))
+                if colon:
+                    metadata[key] = value
+                if colon and key == "epsilon":
+                    try:
+                        epsilon = float(value)
+                    except ValueError:
+                        epsilon = math.nan  # fails the range check
+                    if not 0.0 < epsilon < math.inf:
+                        raise DataFormatError(f"{path}: line {number}: bad epsilon {value!r}")
                 continue
             fields = line.split("\t")
             if len(fields) != 3 or not fields[0]:
@@ -177,16 +175,13 @@ def read_table(path) -> tuple[TranslationTable, dict]:
             try:
                 p = float(fields[2])
             except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {number}: bad probability {fields[2]!r}"
-                ) from None
-            if p < 0.0:
-                raise DataFormatError(f"{path}: line {number}: negative probability")
+                p = math.nan  # fails the range check
+            if not 0.0 <= p < math.inf:
+                raise DataFormatError(f"{path}: line {number}: bad probability {fields[2]!r}")
             e = source_vocab.add(fields[0])
             if fields[1]:
                 rows.setdefault(e, {})[target_vocab.add(fields[1])] = p
             else:
                 defaults[e] = p
-    epsilon = float(metadata.get("epsilon", "1.0"))
     table = TranslationTable(rows, defaults, source_vocab, target_vocab, epsilon)
     return table, metadata

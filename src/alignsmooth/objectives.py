@@ -107,8 +107,8 @@ def smoothed_error_count(dev: DevSet, table: TranslationTable, alpha: float = 10
     numerically safe.
     """
     _require_annotated(dev)
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and at least 1, got {alpha!r}")
     total = 0.0
     for pair, alignment in zip(dev.pairs, dev.alignments):
         posterior = link_posterior(pair, table)
@@ -130,8 +130,8 @@ class Objective:
     def __post_init__(self):
         if self.name not in OBJECTIVE_NAMES:
             raise ValueError(f"unknown objective {self.name!r} (choose from {OBJECTIVE_NAMES})")
-        if self.alpha < 1:
-            raise ValueError("alpha must be at least 1")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and at least 1, got {self.alpha!r}")
 
     @property
     def maximize(self) -> bool:

@@ -34,10 +34,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and non-negative, got {self.lam!r}")
+        if self.lam > 0.0 and self.strategy is None:
+            raise ValueError("a positive lambda needs an adding strategy")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)

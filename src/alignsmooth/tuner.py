@@ -38,11 +38,11 @@ class TuneConfig:
     max_refine_evals: int = 100
 
     def __post_init__(self):
-        if any(x < 0 for x in self.grid):
-            raise ValueError("grid candidates must be non-negative")
+        if not all(0.0 <= x < math.inf for x in self.grid):
+            raise ValueError(f"grid candidates must be finite and non-negative, got {self.grid!r}")
         if list(self.grid) != sorted(self.grid):
             raise ValueError("grid must be sorted ascending")
-        if self.tolerance <= 0:
+        if not 0.0 < self.tolerance:
             raise ValueError("tolerance must be positive")
         if self.max_refine_evals < 0:
             raise ValueError("max_refine_evals must be non-negative")

@@ -3,7 +3,8 @@
 import math
 import random
 
-from alignsmooth import NULL_ID, TranslationTable, corpus_from_tokens, uniform_init
+from alignsmooth import NULL_ID, AnnotationSet, TranslationTable, corpus_from_tokens, evaluate_corpus
+from alignsmooth.corpus import AnnotationEntry
 from alignsmooth.errors import UnknownTokenError
 from alignsmooth.trainer import _estep, build_table, compile_corpus, maximize_smoothed
 
@@ -67,7 +68,8 @@ def weight(strategy, e, f):
 def cooc_count(stats, e, f):
     """Pairs in which e and f co-occur; raises on ids outside the statistics."""
     stats.source_count(e)
-    stats.target_count(f)
+    if not 0 <= f < len(stats.target_counts):
+        raise UnknownTokenError(f"no target token with id {f}")
     return stats.cooc.get(e, {}).get(f, 0)
 
 
@@ -80,6 +82,37 @@ def row_total(table, e):
     row = table.rows.get(e, {})
     default = table.row_defaults.get(e, 0.0)
     return sum(row.values()) + (len(table.target_vocab) - len(row)) * default
+
+
+def uniform_init(source_vocab, target_vocab, epsilon=1.0):
+    """t(f|e) = 1/|F| for every source word, the standard starting point."""
+    if len(source_vocab) == 0 or len(target_vocab) == 0:
+        raise ValueError("vocabularies must be non-empty")
+    share = 1.0 / len(target_vocab)
+    defaults = {e: share for e in range(len(source_vocab))}
+    return TranslationTable({}, defaults, source_vocab, target_vocab, epsilon)
+
+
+def hand_report(links, sure, possible=()):
+    """evaluate_corpus on one pair whose Viterbi links are exactly ``links``.
+
+    Source word i and target word j sit at positions i and j; ``links`` may
+    name each target position at most once, and every other target word
+    aligns to NULL.  Gold possible links are ``possible | sure``.
+    """
+    n = max((max(link) for link in set(links) | set(sure) | set(possible)), default=1)
+    corpus = corpus_from_tokens([[f"s{i}" for i in range(1, n + 1)]],
+                                [[f"t{j}" for j in range(1, n + 1)]])
+    best = dict.fromkeys(range(1, n + 1), 0)
+    for i, j in links:
+        assert best[j] == 0, "Viterbi links name each target position at most once"
+        best[j] = i
+    rows = {}
+    for j, i in best.items():  # source position i holds source id i, target j holds id j - 1
+        rows.setdefault(i, {})[j - 1] = 1.0
+    table = TranslationTable(rows, {}, corpus.source_vocab, corpus.target_vocab)
+    entry = AnnotationEntry(frozenset(sure), frozenset(possible) | frozenset(sure))
+    return evaluate_corpus(table, corpus, AnnotationSet({0: entry}))
 
 
 def table_prob(corpus, table, e_word, f_word):

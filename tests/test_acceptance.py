@@ -16,7 +16,6 @@ from alignsmooth import (
     TrainConfig,
     TranslationTable,
     TuneConfig,
-    aer,
     alignment_error_count,
     corpus_from_tokens,
     make_strategy,
@@ -34,6 +33,7 @@ from alignsmooth.tuner import DEFAULT_GRID
 from helpers import (
     NULL,
     garbage_collector_corpus,
+    hand_report,
     kernel_steps,
     random_corpus,
     reference_em,
@@ -41,6 +41,11 @@ from helpers import (
     t1_corpus,
     table_prob,
     tokens,
+)
+
+# The toy experiment's report.tsv as the benchmark recorded it; every change keeps these bytes.
+RECORDED_TOY_REPORT = os.path.join(
+    os.path.dirname(__file__), os.pardir, "bench", "expected", "toy-experiment.report.tsv"
 )
 
 
@@ -169,14 +174,14 @@ def test_smoothed_error_count_converges_to_discrete():
 
 def test_aer_spot_checks():
     """The three worked AER examples, plus AER=0 on a perfect prediction."""
-    assert aer({(1, 1), (2, 2)}, {(1, 1)}, {(1, 1), (2, 2)}) == 0.0
-    assert aer({(1, 2)}, {(1, 1)}, {(1, 1)}) == 1.0
+    assert hand_report({(1, 1), (2, 2)}, {(1, 1)}, {(1, 1), (2, 2)}).aer == 0.0
+    assert hand_report({(1, 2)}, {(1, 1)}, {(1, 1)}).aer == 1.0
     links = {(1, 1), (2, 2), (3, 3)}
     sure = {(1, 1), (4, 4)}
     poss = {(1, 1), (2, 2), (4, 4)}
-    assert aer(links, sure, poss) == pytest.approx(0.4, abs=0)
+    assert hand_report(links, sure, poss).aer == pytest.approx(0.4, abs=0)
     gold = {(1, 1), (2, 2), (3, 3)}
-    assert aer(set(gold), gold, gold) == 0.0
+    assert hand_report(set(gold), gold, gold).aer == 0.0
     print("ACCEPTANCE PASS: AER spot checks (0, 1, 0.4 exact; perfect S=P scores 0)")
 
 
@@ -237,14 +242,17 @@ def test_garbage_collector_mitigation():
 
 
 def test_experiment_grid_shape(tmp_path):
-    """The bundled toy experiment yields 1 baseline + 12 tuned cells, < 60 s."""
+    """The bundled toy experiment yields 1 baseline + 12 tuned cells, < 60 s,
+    and its report.tsv bytes equal the benchmark's recorded report."""
     started = time.perf_counter()
     src, tgt, ann = toy_paths()
     out_dir = str(tmp_path / "grid")
     code = main(["experiment", "-s", src, "-t", tgt, "-a", ann, "-o", out_dir])
     elapsed = time.perf_counter() - started
     assert code == 0
-    tsv = open(os.path.join(out_dir, "report.tsv"), encoding="utf-8").read()
+    report = open(os.path.join(out_dir, "report.tsv"), "rb").read()
+    assert report == open(RECORDED_TOY_REPORT, "rb").read()
+    tsv = report.decode("utf-8")
     lines = tsv.splitlines()
     assert sum(1 for line in lines if line.startswith("baseline\taer\t")) == 1
     cells = {tuple(line.split("\t")[1:3]) for line in lines if line.startswith("cell\t")}

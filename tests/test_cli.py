@@ -35,6 +35,21 @@ class TestTrainCommand:
         assert code == 0
         assert "# lambda: 1.0" in open(out, encoding="utf-8").read()
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lambda_exits_one_without_model(self, t1_files, tmp_path, lam):
+        src, tgt = t1_files
+        out = tmp_path / "model.tsv"
+        assert main(["train", "-s", src, "-t", tgt, "--lambda", lam, "-o", str(out)]) == 1
+        assert not out.exists()
+
+    def test_line_count_mismatch_names_the_sides(self, tmp_path, capsys):
+        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+        src.write_text("a\nb\n", encoding="utf-8")
+        tgt.write_text("x\ny\nz\n", encoding="utf-8")
+        out = str(tmp_path / "model.tsv")
+        assert main(["train", "-s", str(src), "-t", str(tgt), "-o", out]) == 2
+        assert "source has 2 lines, target has 3" in capsys.readouterr().err
+
     def test_missing_file_exits_nonzero(self, tmp_path):
         out = str(tmp_path / "model.tsv")
         code = main(["train", "-s", "nope.txt", "-t", "nope2.txt", "-o", out])
@@ -80,6 +95,13 @@ class TestAlignCommand:
         captured = capsys.readouterr()
         assert "zug" in captured.err
 
+    def test_bad_model_number_exits_two(self, t1_files, tmp_path, capsys):
+        src, tgt = t1_files
+        model = tmp_path / "model.tsv"
+        model.write_text("# epsilon: abc\n", encoding="utf-8")
+        assert main(["align", "-s", src, "-t", tgt, "-m", str(model)]) == 2
+        assert f"{model}: line 1: bad epsilon" in capsys.readouterr().err
+
     def test_empty_corpus_exits_two(self, t1_files, tmp_path, capsys):
         model = self.model(t1_files, tmp_path, capsys)
         empty = tmp_path / "empty.txt"
@@ -116,6 +138,23 @@ class TestTuneCommand:
         code = main(["tune", "-s", src, "-t", tgt, "--objective", "error-count",
                      "--grid", "0,1,2", "--iters", "2"])
         assert code == 1
+
+
+    def test_non_finite_grid_exits_one(self, tmp_path):
+        src, tgt, ann = toy_paths()
+        out = tmp_path / "tune.tsv"
+        code = main(["tune", "-s", src, "-t", tgt, "-a", ann, "--grid", "0,1,inf",
+                     "--iters", "2", "-o", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,default", [
+        ("tune", "every annotated pair"), ("experiment", "a third of the annotated pairs"),
+    ], ids=["tune", "experiment"])
+    def test_dev_size_help_gives_each_default(self, capsys, command, default):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"(default: {default})" in " ".join(capsys.readouterr().out.split())
 
 
 class TestEvalCommand:

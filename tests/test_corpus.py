@@ -58,8 +58,8 @@ class TestLoadParallelCorpus:
     def test_lowercase_switch(self, tmp_path):
         src, tgt = write_corpus(tmp_path, "Das Haus\n", "The House\n")
         corpus = load_parallel_corpus(src, tgt, lowercase=True)
-        assert "das" in corpus.source_vocab
-        assert "Das" not in corpus.source_vocab
+        assert "das" in corpus.source_vocab.words
+        assert "Das" not in corpus.source_vocab.words
 
     def test_round_trip_ids(self, tmp_path):
         corpus = random_corpus(31, max_pairs=20)
@@ -99,7 +99,7 @@ class TestOccurrenceStats:
         for e, row in stats.cooc.items():
             for f, c in row.items():
                 assert c <= stats.source_count(e)
-                assert c <= stats.target_count(f)
+                assert c <= stats.target_counts[f]
 
 
 class TestAnnotations:

@@ -82,3 +82,23 @@ def test_cells_equal_uncached_tuning(spec):
         assert (cell.lam, cell.aer, cell.error_count) == (
             result.lambda_star, report.aer, report.error_count
         )
+
+
+def test_tuning_data_follows_the_objective():
+    src, tgt, ann = toy_paths()
+    corpus = load_parallel_corpus(src, tgt)
+    annotation = load_annotations(ann, corpus)
+    full, dev = experiment.tuning_data(corpus, Objective("error-count"), annotation, 0.1, 13)
+    assert full is corpus
+    assert dev == DevSet.from_annotations(corpus, annotation)
+    part, held = experiment.tuning_data(corpus, Objective("ml-unannotated"), None, 0.1, 13)
+    train_part, dev_part = split_unannotated(corpus, 0.1, 13)
+    assert part.pairs == train_part.pairs
+    assert held == DevSet.unannotated(dev_part.pairs)
+
+
+@pytest.mark.parametrize("field,name", [("strategies", "add-zipf"), ("objectives", "f-score")])
+def test_unknown_name_rejected_before_any_file_is_read(tmp_path, field, name):
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(ValueError, match=name):
+        ExperimentSpec(missing, missing, missing, str(tmp_path / "exp"), **{field: (name,)})

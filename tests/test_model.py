@@ -13,13 +13,12 @@ from alignsmooth import (
     pair_log_likelihood,
     read_table,
     train,
-    uniform_init,
     viterbi_align,
     write_table,
 )
 from alignsmooth.corpus import NULL_TOKEN, SentencePair
 
-from helpers import random_corpus, row_total, t1_corpus
+from helpers import random_corpus, row_total, t1_corpus, uniform_init
 
 
 def vocabs(n_source, n_target):
@@ -255,6 +254,21 @@ class TestModelFile:
         for f_word in corpus.target_vocab.words:
             f = corpus.target_vocab.id(f_word)
             assert loaded.prob(0, loaded.target_vocab.id(f_word)) == table.prob(0, f)
+
+    @pytest.mark.parametrize("text,message", [
+        ("# epsilon: 1.0\na\tx\tnan\n", "line 2: bad probability 'nan'"),
+        ("# epsilon: 1.0\na\tx\tinf\n", "line 2: bad probability 'inf'"),
+        ("# epsilon: abc\na\tx\t0.5\n", "line 1: bad epsilon 'abc'"),
+        ("# epsilon: 0\na\tx\t0.5\n", "line 1: bad epsilon '0'"),
+    ], ids=["nan-probability", "inf-probability", "epsilon-not-a-number", "epsilon-zero"])
+    def test_bad_number_names_file_and_line(self, tmp_path, text, message):
+        from alignsmooth import DataFormatError
+
+        path = tmp_path / "model.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError) as raised:
+            read_table(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_empty_source_field_rejected(self, tmp_path):
         from alignsmooth import DataFormatError

@@ -14,9 +14,8 @@ from alignsmooth import (
     dev_log_likelihood,
     smoothed_error_count,
     train,
-    uniform_init,
 )
-from helpers import random_corpus, t1_corpus
+from helpers import random_corpus, t1_corpus, uniform_init
 
 
 def single_position_devset(p_null, p_word):
@@ -169,6 +168,11 @@ class TestSmoothedErrorCount:
         dev, table = single_position_devset(0.8, 0.2)
         with pytest.raises(ValueError):
             smoothed_error_count(dev, table, alpha=0.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                smoothed_error_count(dev, table, alpha=bad)
+            with pytest.raises(ValueError, match="alpha"):
+                Objective("smoothed-error-count", bad)
 
     def test_large_alpha_stays_finite(self):
         dev, table = single_position_devset(0.999, 0.001)

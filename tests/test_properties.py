@@ -25,7 +25,7 @@ lambdas = st.sampled_from([0.0, 1e-4, 0.3, 2.0, 50.0]) | st.floats(0.0, 100.0)
 def trained(seed, name, lam, iterations=3, sliced=False):
     corpus = random_corpus(seed, max_pairs=12)
     if sliced:
-        corpus = corpus.subset(range(0, len(corpus), 2))
+        corpus = corpus.subset(range(0, len(corpus.pairs), 2))
     strategy = make_strategy(name, occurrence_stats(corpus))
     return corpus, train(corpus, TrainConfig(iterations, lam, strategy))
 

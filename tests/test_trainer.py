@@ -167,6 +167,13 @@ class TestTrain:
             TrainConfig(lam=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(epsilon=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="lambda"):
+                TrainConfig(lam=bad, strategy=AddOne(3))
+            with pytest.raises(ValueError, match="epsilon"):
+                TrainConfig(epsilon=bad)
+        with pytest.raises(ValueError, match="strategy"):
+            TrainConfig(lam=0.5)
 
     def test_epsilon_shifts_loglik_constant(self):
         corpus = t1_corpus()

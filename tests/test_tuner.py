@@ -124,6 +124,11 @@ class TestTuneConfig:
             TuneConfig(grid=(-1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             TuneConfig(tolerance=0.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            TuneConfig(tolerance=math.nan)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                TuneConfig(grid=(0.0, 1.0, bad))
 
 
 def small_tune_config():
