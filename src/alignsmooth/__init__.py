@@ -4,7 +4,7 @@ from .corpus import (
     NULL_ID,
     NULL_TOKEN,
     UNKNOWN_ID,
-    AnnotationSet,
+    AnnotationEntry,
     OccurrenceStats,
     ParallelCorpus,
     SentencePair,

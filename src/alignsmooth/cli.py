@@ -193,8 +193,10 @@ def cmd_align(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
     objective = Objective(args.objective, args.alpha)
+    tune_config = TuneConfig(args.grid, args.tol, args.max_evals)
+    train_config = TrainConfig(iterations=args.iters, epsilon=args.epsilon)
+    corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
     dev_annotation = None
     if objective.requires_annotation:
         if not args.annotations:
@@ -204,14 +206,10 @@ def cmd_tune(args) -> int:
             dev_annotation, _ = split_annotated(dev_annotation, args.dev_size, args.seed)
     train_corpus, dev = tuning_data(corpus, objective, dev_annotation, args.dev_fraction, args.seed)
     strategy = make_strategy(args.strategy, occurrence_stats(train_corpus))
-    result = tune(
-        train_corpus, dev, strategy, objective,
-        TuneConfig(args.grid, args.tol, args.max_evals),
-        TrainConfig(iterations=args.iters, epsilon=args.epsilon),
-    )
+    result = tune(train_corpus, dev, strategy, objective, tune_config, train_config)
     lines = [
-        f"strategy\t{result.strategy}",
-        f"objective\t{result.objective}",
+        f"strategy\t{args.strategy}",
+        f"objective\t{args.objective}",
         f"lambda_star\t{result.lambda_star!r}",
         f"objective_value\t{result.objective_value!r}",
     ]
@@ -220,7 +218,7 @@ def cmd_tune(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     print(f"lambda* = {result.lambda_star!r} "
-          f"({result.objective} = {result.objective_value!r}, "
+          f"({args.objective} = {result.objective_value!r}, "
           f"{len(result.evaluations)} candidates)")
     return 0
 
@@ -242,7 +240,6 @@ def cmd_experiment(args) -> int:
         source_path=args.source,
         target_path=args.target,
         annotations_path=args.annotations,
-        out_dir=args.out,
         strategies=tuple(x for x in args.strategies.split(",") if x),
         objectives=tuple(x for x in args.objectives.split(",") if x),
         dev_size=args.dev_size,
@@ -255,9 +252,9 @@ def cmd_experiment(args) -> int:
         lowercase=args.lowercase,
     )
     baseline_report, cells = run_experiment(spec)
-    os.makedirs(spec.out_dir, exist_ok=True)
-    tsv_path = os.path.join(spec.out_dir, "report.tsv")
-    txt_path = os.path.join(spec.out_dir, "report.txt")
+    os.makedirs(args.out, exist_ok=True)
+    tsv_path = os.path.join(args.out, "report.tsv")
+    txt_path = os.path.join(args.out, "report.txt")
     with open(tsv_path, "w", encoding="utf-8") as handle:
         handle.write(report_tsv(baseline_report, cells))
     with open(txt_path, "w", encoding="utf-8") as handle:

@@ -23,7 +23,7 @@ index; link positions keep the 1-based convention with 0 = NULL.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataFormatError, UnknownTokenError
 
@@ -37,11 +37,9 @@ class Vocabulary:
 
     __slots__ = ("_word_to_id", "_id_to_word")
 
-    def __init__(self, words=()):
+    def __init__(self):
         self._word_to_id: dict[str, int] = {}
         self._id_to_word: list[str] = []
-        for word in words:
-            self.add(word)
 
     @classmethod
     def with_null(cls) -> "Vocabulary":
@@ -57,12 +55,6 @@ class Vocabulary:
             self._word_to_id[word] = wid
             self._id_to_word.append(word)
         return wid
-
-    def id(self, word: str) -> int:
-        try:
-            return self._word_to_id[word]
-        except KeyError:
-            raise UnknownTokenError(f"unknown token {word!r}") from None
 
     def get(self, word: str, default: int = UNKNOWN_ID) -> int:
         return self._word_to_id.get(word, default)
@@ -91,14 +83,6 @@ class SentencePair:
 
     source: tuple[int, ...]
     target: tuple[int, ...]
-
-    @property
-    def source_length(self) -> int:
-        return len(self.source)
-
-    @property
-    def target_length(self) -> int:
-        return len(self.target)
 
 
 @dataclass
@@ -178,10 +162,6 @@ class OccurrenceStats:
             raise UnknownTokenError(f"no source token with id {e}")
         return self.source_counts[e]
 
-    def cooc_row(self, e: int) -> dict[int, int]:
-        self.source_count(e)
-        return self.cooc.get(e, {})
-
 
 def occurrence_stats(corpus: ParallelCorpus) -> OccurrenceStats:
     source_counts = [0] * len(corpus.source_vocab)
@@ -203,30 +183,14 @@ def occurrence_stats(corpus: ParallelCorpus) -> OccurrenceStats:
 
 @dataclass(frozen=True)
 class AnnotationEntry:
+    """Gold sure/possible link sets of one pair."""
+
     sure: frozenset[tuple[int, int]]
     possible: frozenset[tuple[int, int]]
 
 
-@dataclass
-class AnnotationSet:
-    """Gold sure/possible link sets keyed by 0-based pair index."""
-
-    entries: dict[int, AnnotationEntry] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def pair_indices(self) -> list[int]:
-        return sorted(self.entries)
-
-    def entry(self, pair_index: int) -> AnnotationEntry:
-        try:
-            return self.entries[pair_index]
-        except KeyError:
-            raise ValueError(f"pair {pair_index} is not annotated") from None
-
-
-def load_annotations(path, corpus: ParallelCorpus) -> AnnotationSet:
+def load_annotations(path, corpus: ParallelCorpus) -> dict[int, AnnotationEntry]:
+    """Gold links keyed by 0-based pair index."""
     sure: dict[int, set[tuple[int, int]]] = {}
     possible: dict[int, set[tuple[int, int]]] = {}
     with open(path, encoding="utf-8") as handle:
@@ -256,52 +220,51 @@ def load_annotations(path, corpus: ParallelCorpus) -> AnnotationSet:
                     f"(corpus has {len(corpus.pairs)} pairs)"
                 )
             pair = corpus.pairs[pair_no - 1]
-            if not 0 <= src_pos <= pair.source_length:
+            if not 0 <= src_pos <= len(pair.source):
                 raise DataFormatError(
                     f"{path}: record {number}: source position {src_pos} out of range "
-                    f"(source length {pair.source_length})"
+                    f"(source length {len(pair.source)})"
                 )
-            if not 1 <= tgt_pos <= pair.target_length:
+            if not 1 <= tgt_pos <= len(pair.target):
                 raise DataFormatError(
                     f"{path}: record {number}: target position {tgt_pos} out of range "
-                    f"(target length {pair.target_length})"
+                    f"(target length {len(pair.target)})"
                 )
             key = pair_no - 1
             link = (src_pos, tgt_pos)
             possible.setdefault(key, set()).add(link)
             if flag == "S":
                 sure.setdefault(key, set()).add(link)
-    entries = {
+    return {
         key: AnnotationEntry(frozenset(sure.get(key, ())), frozenset(links))
         for key, links in possible.items()
     }
-    return AnnotationSet(entries)
 
 
-def adapt_annotation(pair_index: int, annotation: AnnotationSet, m: int) -> tuple[int, ...]:
+def adapt_annotation(entry: AnnotationEntry, m: int) -> tuple[int, ...]:
     """Restrict gold links to one source position per target position.
 
     Only sure links are considered.  A target position with no sure link
     maps to NULL; with several sure links, the smallest source position
     wins so the choice is reproducible.
     """
-    entry = annotation.entry(pair_index)
     chosen: dict[int, int] = {}
     for i, j in sorted(entry.sure, key=lambda link: (link[1], link[0])):
         chosen.setdefault(j, i)
     return tuple(chosen.get(j, 0) for j in range(1, m + 1))
 
 
-def split_annotated(annotation: AnnotationSet, k: int, seed: int) -> tuple[AnnotationSet, AnnotationSet]:
+def split_annotated(annotation: dict[int, AnnotationEntry], k: int,
+                    seed: int) -> tuple[dict, dict]:
     """Split annotated pairs into a k-pair dev set and the remaining test set."""
-    indices = annotation.pair_indices()
+    indices = sorted(annotation)
     if not 0 < k < len(indices):
         raise ValueError(f"dev size must be in 1..{len(indices) - 1}, got {k}")
     shuffled = list(indices)
     random.Random(seed).shuffle(shuffled)
     dev_keys = set(shuffled[:k])
-    dev = AnnotationSet({i: annotation.entries[i] for i in indices if i in dev_keys})
-    test = AnnotationSet({i: annotation.entries[i] for i in indices if i not in dev_keys})
+    dev = {i: annotation[i] for i in indices if i in dev_keys}
+    test = {i: annotation[i] for i in indices if i not in dev_keys}
     return dev, test
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import AnnotationSet, ParallelCorpus, adapt_annotation
+from .corpus import AnnotationEntry, ParallelCorpus, adapt_annotation
 from .model import TranslationTable, viterbi_align
 
 Link = tuple[int, int]
@@ -63,7 +63,7 @@ def links_from_alignment(alignment, emit_null: bool = False) -> set[Link]:
 def evaluate_corpus(
     table: TranslationTable,
     corpus: ParallelCorpus,
-    annotation: AnnotationSet,
+    annotation: dict[int, AnnotationEntry],
     emit_null: bool = False,
 ) -> EvalReport:
     """Micro-averaged report over the annotated pairs.
@@ -71,11 +71,11 @@ def evaluate_corpus(
     The error count compares Viterbi links against the sure-only
     restricted adaptation of the gold annotation.
     """
-    if not annotation.entries:
+    if not annotation:
         raise ValueError("no pairs to evaluate")
     total_links = total_sure = hit_possible = hit_sure = 0
     errors = 0
-    for k, entry in sorted(annotation.entries.items()):
+    for k, entry in sorted(annotation.items()):
         pair = corpus.pairs[k]
         deduced = viterbi_align(pair, table)
         links = links_from_alignment(deduced, emit_null)
@@ -83,7 +83,7 @@ def evaluate_corpus(
         total_sure += len(entry.sure)
         hit_possible += len(links & entry.possible)
         hit_sure += len(links & entry.sure)
-        gold = adapt_annotation(k, annotation, pair.target_length)
+        gold = adapt_annotation(entry, len(pair.target))
         errors += sum(1 for g, h in zip(gold, deduced) if g != h)
     denom = total_links + total_sure
     return EvalReport(

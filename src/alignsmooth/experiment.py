@@ -31,7 +31,6 @@ class ExperimentSpec:
     source_path: str
     target_path: str
     annotations_path: str
-    out_dir: str
     strategies: tuple[str, ...] = STRATEGY_NAMES
     objectives: tuple[str, ...] = OBJECTIVE_NAMES
     dev_size: int | None = None
@@ -50,8 +49,8 @@ class ExperimentSpec:
             if name not in STRATEGY_NAMES:
                 raise ValueError(f"unknown adding strategy {name!r}")
         for name in self.objectives:
-            if name not in OBJECTIVE_NAMES:
-                raise ValueError(f"unknown objective {name!r}")
+            Objective(name, self.alpha)
+        TrainConfig(self.iterations, epsilon=self.epsilon)
 
 
 @dataclass

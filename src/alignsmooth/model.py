@@ -77,7 +77,7 @@ def link_posterior(pair: SentencePair, table: TranslationTable) -> list[list[flo
     A target word scoring zero against every source position gets the
     uniform distribution over 0..l, so downstream objectives stay finite.
     """
-    width = pair.source_length + 1
+    width = len(pair.source) + 1
     posterior = []
     for values in link_scores(pair, table):
         denom = sum(values)
@@ -99,7 +99,7 @@ def pair_log_likelihood(pair: SentencePair, table: TranslationTable) -> float:
     Equals log(eps) - m*log(l+1) + sum_j log sum_i t(f_j|e_i); any target
     word with an all-zero score yields -inf.
     """
-    total = math.log(table.epsilon) - pair.target_length * math.log(pair.source_length + 1)
+    total = math.log(table.epsilon) - len(pair.target) * math.log(len(pair.source) + 1)
     for values in link_scores(pair, table):
         denom = sum(values)
         if denom <= 0.0:

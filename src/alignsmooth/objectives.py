@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import ParallelCorpus, AnnotationSet, SentencePair, adapt_annotation
+from .corpus import AnnotationEntry, ParallelCorpus, SentencePair, adapt_annotation
 from .model import TranslationTable, link_posterior, link_scores, pair_log_likelihood, viterbi_align
 
 OBJECTIVE_NAMES = ("ml-unannotated", "ml-annotated", "error-count", "smoothed-error-count")
@@ -41,9 +41,9 @@ class DevSet:
             if len(self.alignments) != len(self.pairs):
                 raise ValueError("one gold alignment per pair is required")
             for pair, alignment in zip(self.pairs, self.alignments):
-                if len(alignment) != pair.target_length:
+                if len(alignment) != len(pair.target):
                     raise ValueError("gold alignment length must match target length")
-                if any(not 0 <= i <= pair.source_length for i in alignment):
+                if any(not 0 <= i <= len(pair.source) for i in alignment):
                     raise ValueError("gold alignment positions must lie in 0..l")
 
     @property
@@ -55,12 +55,13 @@ class DevSet:
         return cls(tuple(pairs))
 
     @classmethod
-    def from_annotations(cls, corpus: ParallelCorpus, annotation: AnnotationSet) -> "DevSet":
+    def from_annotations(cls, corpus: ParallelCorpus,
+                         annotation: dict[int, AnnotationEntry]) -> "DevSet":
         """Annotated dev set over every pair the annotation covers."""
-        indices = annotation.pair_indices()
+        indices = sorted(annotation)
         pairs = tuple(corpus.pairs[i] for i in indices)
         alignments = tuple(
-            adapt_annotation(i, annotation, corpus.pairs[i].target_length) for i in indices
+            adapt_annotation(annotation[i], len(pair.target)) for i, pair in zip(indices, pairs)
         )
         return cls(pairs, alignments)
 

@@ -1,11 +1,12 @@
-"""Adding strategies: per-pair pseudo-count functions with closed-form row sums.
+"""Adding strategies: per-pair pseudo-count functions g(e, f).
 
 Each strategy is a non-negative function g(e, f) over source/target word
-ids.  The trainer adds ``lambda * g(e, f)`` to every expected count, so a
-strategy must also report ``row_sum(e) = sum_f g(e, f)`` over the whole
-target vocabulary.  To keep the smoothed re-estimation sparse, a strategy
-exposes its value as ``base_weight(e)`` (shared by every target word of
-the row) plus sparse ``extra_weights(e)`` on top.
+ids, and the trainer adds ``lambda * g(e, f)`` to every expected count.
+To keep the smoothed re-estimation sparse, a strategy states g as
+``base_weight(e)``, shared by every target word of the row, plus sparse
+``extra_weights(e)`` on top; either may be left at its default of zero.
+The trainer derives each row sum from these two, so a strategy never
+states it separately.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ class AddingStrategy:
     name = "base"
 
     def base_weight(self, e: int) -> float:
-        raise NotImplementedError
+        return 0.0
 
     def extra_weights(self, e: int) -> dict[int, float]:
         return _EMPTY
-
-    def row_sum(self, e: int) -> float:
-        raise NotImplementedError
 
 
 class AddOne(AddingStrategy):
@@ -37,16 +35,8 @@ class AddOne(AddingStrategy):
 
     name = "add-one"
 
-    def __init__(self, target_vocab_size: int):
-        if target_vocab_size < 1:
-            raise ValueError("target vocabulary must be non-empty")
-        self.target_vocab_size = target_vocab_size
-
     def base_weight(self, e: int) -> float:
         return 1.0
-
-    def row_sum(self, e: int) -> float:
-        return float(self.target_vocab_size)
 
 
 class AddSourceCount(AddingStrategy):
@@ -56,13 +46,9 @@ class AddSourceCount(AddingStrategy):
 
     def __init__(self, stats: OccurrenceStats):
         self.stats = stats
-        self.target_vocab_size = len(stats.target_counts)
 
     def base_weight(self, e: int) -> float:
         return float(self.stats.source_count(e))
-
-    def row_sum(self, e: int) -> float:
-        return float(self.stats.source_count(e)) * self.target_vocab_size
 
 
 class AddDice(AddingStrategy):
@@ -74,30 +60,23 @@ class AddDice(AddingStrategy):
         self.stats = stats
         self._rows: dict[int, dict[int, float]] = {}
 
-    def base_weight(self, e: int) -> float:
-        self.stats.source_count(e)
-        return 0.0
-
     def extra_weights(self, e: int) -> dict[int, float]:
         row = self._rows.get(e)
         if row is None:
             n_e = self.stats.source_count(e)
             row = {}
-            for f, c in self.stats.cooc_row(e).items():
+            for f, c in self.stats.cooc.get(e, _EMPTY).items():
                 denom = n_e + self.stats.target_counts[f]
                 if c > 0 and denom > 0:
                     row[f] = 2.0 * c / denom
             self._rows[e] = row
         return row
 
-    def row_sum(self, e: int) -> float:
-        return sum(self.extra_weights(e).values())
-
 
 def make_strategy(name: str, stats: OccurrenceStats) -> AddingStrategy:
     """Build a strategy from its CLI token and training-corpus statistics."""
     if name == "add-one":
-        return AddOne(len(stats.target_counts))
+        return AddOne()
     if name == "add-source-count":
         return AddSourceCount(stats)
     if name == "add-dice":

@@ -2,11 +2,13 @@
 
 Every iteration re-estimates the table as
 
-    t(f|e) = (count(e,f) + lambda * g(e,f)) / (count(e) + lambda * row_sum(e))
+    t(f|e) = (count(e,f) + lambda * g(e,f)) / (count(e) + lambda * sum_f g(e,f))
 
-where g comes from the configured adding strategy.  With lambda = 0 this
-is the plain relative-frequency step and the strategy is ignored, so the
-unsmoothed baseline falls out of the same code path bit for bit.
+where g comes from the configured adding strategy as a row base weight
+plus sparse extra weights; the row sum is derived from those two over the
+whole target vocabulary.  With lambda = 0 this is the plain
+relative-frequency step and the strategy is ignored, so the unsmoothed
+baseline falls out of the same code path bit for bit.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float
     the degenerate uniform row, so every row is a full distribution.
     """
     uniform = 1.0 / slots.target_size
-    plain = lam == 0.0 or strategy is None
+    plain = lam == 0.0
     probs: list[float] = []
     defaults: dict[int, float] = {}
     outside: dict[int, dict[int, float]] = {}
@@ -141,14 +143,14 @@ def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float
         start, end = end, end + len(row)
         extras, denom, added = _EMPTY, totals[e], 0.0
         if not plain:
-            extras = strategy.extra_weights(e)
-            denom += lam * strategy.row_sum(e)
+            base, extras = strategy.base_weight(e), strategy.extra_weights(e)
+            denom += lam * (base * slots.target_size + sum(extras.values()))
         if denom <= 0.0:
             defaults[e] = uniform
             probs += [uniform] * len(row)
             continue
         if not plain:
-            added = lam * strategy.base_weight(e)
+            added = lam * base
         if extras:
             probs += [
                 (c + added + lam * extras.get(f, 0.0)) / denom

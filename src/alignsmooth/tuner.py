@@ -53,8 +53,6 @@ class TuneResult:
     lambda_star: float
     objective_value: float
     evaluations: tuple[tuple[float, float], ...]
-    strategy: str
-    objective: str
 
 
 def _is_better(value: float, best: float, maximize: bool) -> bool:
@@ -241,4 +239,4 @@ def tune(
     lam, value, trace = search_scale(
         score, grid, objective.maximize, tune_config.tolerance, tune_config.max_refine_evals
     )
-    return TuneResult(lam, value, trace, strategy.name, objective.name)
+    return TuneResult(lam, value, trace)

@@ -3,8 +3,7 @@
 import math
 import random
 
-from alignsmooth import NULL_ID, AnnotationSet, TranslationTable, corpus_from_tokens, evaluate_corpus
-from alignsmooth.corpus import AnnotationEntry
+from alignsmooth import NULL_ID, AnnotationEntry, TranslationTable, corpus_from_tokens, evaluate_corpus
 from alignsmooth.errors import UnknownTokenError
 from alignsmooth.trainer import _estep, build_table, compile_corpus, maximize_smoothed
 
@@ -112,13 +111,13 @@ def hand_report(links, sure, possible=()):
         rows.setdefault(i, {})[j - 1] = 1.0
     table = TranslationTable(rows, {}, corpus.source_vocab, corpus.target_vocab)
     entry = AnnotationEntry(frozenset(sure), frozenset(possible) | frozenset(sure))
-    return evaluate_corpus(table, corpus, AnnotationSet({0: entry}))
+    return evaluate_corpus(table, corpus, {0: entry})
 
 
 def table_prob(corpus, table, e_word, f_word):
     """t(f|e) looked up by word strings; e_word may be the NULL token."""
-    e = 0 if e_word == NULL else corpus.source_vocab.id(e_word)
-    return table.prob(e, corpus.target_vocab.id(f_word))
+    e = 0 if e_word == NULL else corpus.source_vocab.words.index(e_word)
+    return table.prob(e, corpus.target_vocab.words.index(f_word))
 
 
 def garbage_collector_corpus():
@@ -171,7 +170,7 @@ def dict_estep(corpus, table, epsilon):
         cached = [
             (table.rows.get(e, _EMPTY), table.row_defaults.get(e, 0.0)) for e in sources
         ]
-        pair_ll = log_eps - pair.target_length * math.log(width)
+        pair_ll = log_eps - len(pair.target) * math.log(width)
         degenerate = False
         for f in pair.target:
             values = [row.get(f, default) for row, default in cached]
@@ -199,7 +198,7 @@ def dict_estep(corpus, table, epsilon):
 def dict_mstep(counts, totals, source_vocab, target_vocab, strategy, lam, epsilon=1.0):
     """Re-estimate a TranslationTable from dict counts; zero denominators go uniform."""
     uniform = 1.0 / len(target_vocab)
-    plain = lam == 0.0 or strategy is None
+    plain = lam == 0.0
     rows, defaults = {}, {}
     for e in range(len(source_vocab)):
         crow = counts.get(e, _EMPTY)
@@ -210,12 +209,12 @@ def dict_mstep(counts, totals, source_vocab, target_vocab, strategy, lam, epsilo
             else:
                 defaults[e] = uniform
             continue
-        extras = strategy.extra_weights(e)
-        denom = total + lam * strategy.row_sum(e)
+        base, extras = strategy.base_weight(e), strategy.extra_weights(e)
+        denom = total + lam * (base * len(target_vocab) + sum(extras.values()))
         if denom <= 0.0:
             defaults[e] = uniform
             continue
-        added = lam * strategy.base_weight(e)
+        added = lam * base
         row = {f: (c + added + lam * extras.get(f, 0.0)) / denom for f, c in crow.items()}
         for f, g in extras.items():
             if f not in row:
@@ -283,7 +282,7 @@ def prob_viterbi(pair, table):
 
 def prob_pair_log_likelihood(pair, table):
     sources = (NULL_ID,) + pair.source
-    total = math.log(table.epsilon) - pair.target_length * math.log(len(sources))
+    total = math.log(table.epsilon) - len(pair.target) * math.log(len(sources))
     for f in pair.target:
         denom = sum(table.prob(e, f) for e in sources)
         if denom <= 0.0:

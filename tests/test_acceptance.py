@@ -103,7 +103,7 @@ def test_normalization_suite():
     for seed in range(5):
         corpus = random_corpus(seed, max_pairs=50)
         stats = occurrence_stats(corpus)
-        target_tokens = sum(p.target_length for p in corpus.pairs)
+        target_tokens = sum(len(p.target) for p in corpus.pairs)
         for name in ("add-one", "add-source-count", "add-dice"):
             strategy = make_strategy(name, stats)
             for lam in (0.0, 0.7, 5.0):

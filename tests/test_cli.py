@@ -222,6 +222,15 @@ class TestUsageErrors:
     def test_bad_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("command", ["tune", "experiment"])
+    @pytest.mark.parametrize("flags", [["--alpha", "0.5"], ["--iters", "0"], ["--grid", "0,1,inf"]],
+                             ids=["alpha", "iters", "grid"])
+    def test_bad_setting_rejected_before_any_file_is_read(self, tmp_path, command, flags):
+        # a missing file exits 2, so exit 1 shows the setting was checked first
+        missing = str(tmp_path / "missing.txt")
+        args = [command, "-s", missing, "-t", missing, "-a", missing, "-o", str(tmp_path / "out")]
+        assert main(args + flags) == 1
+
     def test_bad_dev_size(self, tmp_path):
         src, tgt, ann = toy_paths()
         code = main(["tune", "-s", src, "-t", tgt, "-a", ann,

@@ -1,7 +1,6 @@
 import pytest
 
 from alignsmooth import (
-    AnnotationSet,
     DataFormatError,
     adapt_annotation,
     corpus_from_tokens,
@@ -37,8 +36,8 @@ class TestLoadParallelCorpus:
         src, tgt = write_corpus(tmp_path, "a\n", "b\n")
         corpus = load_parallel_corpus(src, tgt)
         assert len(corpus.pairs) == 1
-        assert corpus.pairs[0].source_length == 1
-        assert corpus.pairs[0].target_length == 1
+        assert len(corpus.pairs[0].source) == 1
+        assert len(corpus.pairs[0].target) == 1
 
     def test_line_count_mismatch(self, tmp_path):
         src, tgt = write_corpus(tmp_path, "a\nb\n", "x\ny\nz\n")
@@ -76,10 +75,10 @@ class TestOccurrenceStats:
         corpus = t1_corpus()
         stats = occurrence_stats(corpus)
         sv, tv = corpus.source_vocab, corpus.target_vocab
-        assert stats.source_count(sv.id("das")) == 2
-        assert stats.source_count(sv.id("haus")) == 1
-        assert cooc_count(stats, sv.id("das"), tv.id("the")) == 2
-        assert cooc_count(stats, sv.id("haus"), tv.id("book")) == 0
+        assert stats.source_count(sv.words.index("das")) == 2
+        assert stats.source_count(sv.words.index("haus")) == 1
+        assert cooc_count(stats, sv.words.index("das"), tv.words.index("the")) == 2
+        assert cooc_count(stats, sv.words.index("haus"), tv.words.index("book")) == 0
 
     def test_null_count_is_pair_count(self):
         stats = occurrence_stats(t1_corpus())
@@ -89,8 +88,8 @@ class TestOccurrenceStats:
         corpus = corpus_from_tokens([["a", "a"]], [["b"]])
         stats = occurrence_stats(corpus)
         sv, tv = corpus.source_vocab, corpus.target_vocab
-        assert stats.source_count(sv.id("a")) == 2
-        assert cooc_count(stats, sv.id("a"), tv.id("b")) == 1
+        assert stats.source_count(sv.words.index("a")) == 2
+        assert cooc_count(stats, sv.words.index("a"), tv.words.index("b")) == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cooc_bounded_by_occurrences(self, seed):
@@ -108,16 +107,16 @@ class TestAnnotations:
         path = tmp_path / "ann.txt"
         path.write_text("# comment\n1 1 1 S\n", encoding="utf-8")
         ann = load_annotations(str(path), corpus)
-        assert ann.entry(0).sure == {(1, 1)}
-        assert (1, 1) in ann.entry(0).possible
+        assert ann[0].sure == {(1, 1)}
+        assert (1, 1) in ann[0].possible
 
     def test_sure_and_possible_no_duplicates(self, tmp_path):
         corpus = t1_corpus()
         path = tmp_path / "ann.txt"
         path.write_text("1 2 2 S\n1 2 2 P\n", encoding="utf-8")
         ann = load_annotations(str(path), corpus)
-        assert ann.entry(0).sure == {(2, 2)}
-        assert ann.entry(0).possible == {(2, 2)}
+        assert ann[0].sure == {(2, 2)}
+        assert ann[0].possible == {(2, 2)}
 
     def test_out_of_range_source_position(self, tmp_path):
         path = tmp_path / "ann.txt"
@@ -141,29 +140,21 @@ class TestAnnotations:
         path = tmp_path / "ann.txt"
         path.write_text("1 0 1 S\n", encoding="utf-8")
         ann = load_annotations(str(path), t1_corpus())
-        assert ann.entry(0).sure == {(0, 1)}
+        assert ann[0].sure == {(0, 1)}
 
 
 class TestAdaptAnnotation:
     def entry(self, sure):
-        return AnnotationSet({0: AnnotationEntry(frozenset(sure), frozenset(sure))})
+        return AnnotationEntry(frozenset(sure), frozenset(sure))
 
     def test_unique_links(self):
-        ann = self.entry({(1, 1), (2, 2)})
-        assert adapt_annotation(0, ann, 2) == (1, 2)
+        assert adapt_annotation(self.entry({(1, 1), (2, 2)}), 2) == (1, 2)
 
     def test_unlinked_targets_go_to_null(self):
-        ann = self.entry(set())
-        assert adapt_annotation(0, ann, 2) == (0, 0)
+        assert adapt_annotation(self.entry(set()), 2) == (0, 0)
 
     def test_tie_takes_smallest_source(self):
-        ann = self.entry({(1, 1), (2, 1)})
-        assert adapt_annotation(0, ann, 1) == (1,)
-
-    def test_missing_entry(self):
-        ann = self.entry(set())
-        with pytest.raises(ValueError, match="not annotated"):
-            adapt_annotation(5, ann, 2)
+        assert adapt_annotation(self.entry({(1, 1), (2, 1)}), 1) == (1,)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_output_in_range(self, seed):
@@ -174,24 +165,21 @@ class TestAdaptAnnotation:
         sure = {
             (rng.randint(0, l), rng.randint(1, m)) for _ in range(rng.randint(0, 8))
         }
-        ann = self.entry(sure)
-        restricted = adapt_annotation(0, ann, m)
+        restricted = adapt_annotation(self.entry(sure), m)
         assert len(restricted) == m
         assert all(0 <= i <= l for i in restricted)
 
 
 def make_annotation(n):
-    return AnnotationSet(
-        {i: AnnotationEntry(frozenset({(1, 1)}), frozenset({(1, 1)})) for i in range(n)}
-    )
+    return {i: AnnotationEntry(frozenset({(1, 1)}), frozenset({(1, 1)})) for i in range(n)}
 
 
 class TestSplits:
     def test_annotated_150_into_50(self):
         dev, test = split_annotated(make_annotation(150), 50, seed=3)
         assert len(dev) == 50 and len(test) == 100
-        assert not set(dev.entries) & set(test.entries)
-        assert set(dev.entries) | set(test.entries) == set(range(150))
+        assert not set(dev) & set(test)
+        assert set(dev) | set(test) == set(range(150))
 
     def test_annotated_500_into_100(self):
         dev, test = split_annotated(make_annotation(500), 100, seed=3)
@@ -200,7 +188,7 @@ class TestSplits:
     def test_annotated_deterministic(self):
         first = split_annotated(make_annotation(40), 10, seed=9)
         second = split_annotated(make_annotation(40), 10, seed=9)
-        assert set(first[0].entries) == set(second[0].entries)
+        assert set(first[0]) == set(second[0])
 
     def test_annotated_k_out_of_range(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,7 @@ import random
 import pytest
 
 from alignsmooth import (
-    AnnotationSet,
     TrainConfig,
-    adapt_annotation,
     corpus_from_tokens,
     evaluate_corpus,
     train,
@@ -87,12 +85,10 @@ class TestMetrics:
 
 def annotation_for(corpus, mapping):
     """mapping: pair index -> (sure links, possible links)."""
-    return AnnotationSet(
-        {
-            k: AnnotationEntry(frozenset(s), frozenset(s) | frozenset(p))
-            for k, (s, p) in mapping.items()
-        }
-    )
+    return {
+        k: AnnotationEntry(frozenset(s), frozenset(s) | frozenset(p))
+        for k, (s, p) in mapping.items()
+    }
 
 
 class TestEvaluateCorpus:
@@ -123,11 +119,6 @@ class TestEvaluateCorpus:
         assert report.sure_count == 2
         assert report.aer == pytest.approx(1 - (1 + 1) / 4)
 
-    def test_missing_annotation_names_pair(self):
-        annotation = annotation_for(t1_corpus(), {0: ({(2, 2)}, set())})
-        with pytest.raises(ValueError, match="pair 1"):
-            adapt_annotation(1, annotation, 2)
-
     def test_pair_subset(self):
         corpus = t1_corpus()
         table = train(corpus, TrainConfig(iterations=1)).table
@@ -135,7 +126,7 @@ class TestEvaluateCorpus:
             corpus, {0: ({(2, 2)}, set()), 1: ({(2, 2)}, set())}
         )
         full = evaluate_corpus(table, corpus, annotation)
-        only_first = evaluate_corpus(table, corpus, AnnotationSet({0: annotation.entries[0]}))
+        only_first = evaluate_corpus(table, corpus, {0: annotation[0]})
         assert only_first.pair_count == 1
         assert full.pair_count == 2
 
@@ -149,9 +140,9 @@ class TestEvaluateCorpus:
             corpus,
             {0: ({(1, 1)}, set()), 1: ({(2, 2)}, set()), 2: ({(1, 1), (2, 2)}, set())},
         )
-        backward_entries = {k: annotation.entries[k] for k in (2, 1, 0)}
+        backward_entries = {k: annotation[k] for k in (2, 1, 0)}
         forward = evaluate_corpus(table, corpus, annotation)
-        backward = evaluate_corpus(table, corpus, AnnotationSet(backward_entries))
+        backward = evaluate_corpus(table, corpus, backward_entries)
         assert forward == backward
 
     def test_report_serialization(self):

@@ -27,10 +27,10 @@ ITERATIONS = 3
 
 
 @pytest.fixture
-def spec(tmp_path):
+def spec():
     src, tgt, ann = toy_paths()
     return ExperimentSpec(
-        src, tgt, ann, str(tmp_path / "exp"),
+        src, tgt, ann,
         strategies=("add-one", "add-dice"),
         objectives=("ml-unannotated", "error-count", "ml-annotated"),
         iterations=ITERATIONS,
@@ -101,4 +101,4 @@ def test_tuning_data_follows_the_objective():
 def test_unknown_name_rejected_before_any_file_is_read(tmp_path, field, name):
     missing = str(tmp_path / "missing.txt")
     with pytest.raises(ValueError, match=name):
-        ExperimentSpec(missing, missing, missing, str(tmp_path / "exp"), **{field: (name,)})
+        ExperimentSpec(missing, missing, missing, **{field: (name,)})

@@ -25,7 +25,9 @@ def vocabs(n_source, n_target):
     source = Vocabulary.with_null()
     for i in range(n_source):
         source.add(f"s{i}")
-    target = Vocabulary([f"t{i}" for i in range(n_target)])
+    target = Vocabulary()
+    for i in range(n_target):
+        target.add(f"t{i}")
     return source, target
 
 
@@ -77,10 +79,11 @@ class TestLinkPosterior:
         # t(house|haus)=1/2, t(house|das)=1/4, t(house|NULL)=1/4
         corpus = t1_corpus()
         sv, tv = corpus.source_vocab, corpus.target_vocab
-        house = tv.id("house")
-        rows = {0: {house: 0.25}, sv.id("das"): {house: 0.25}, sv.id("haus"): {house: 0.5}}
+        house = tv.words.index("house")
+        das, haus = sv.words.index("das"), sv.words.index("haus")
+        rows = {0: {house: 0.25}, das: {house: 0.25}, haus: {house: 0.5}}
         table = TranslationTable(rows, {}, sv, tv)
-        pair = SentencePair((sv.id("das"), sv.id("haus")), (house,))
+        pair = SentencePair((das, haus), (house,))
         assert link_posterior(pair, table)[0] == pytest.approx([0.25, 0.25, 0.5])
 
     def test_all_zero_column_goes_uniform(self):
@@ -151,7 +154,7 @@ class TestPairLogLikelihood:
 
     def test_minimal_pair(self):
         corpus = corpus_from_tokens([["a"]], [["b"]])
-        rows = {corpus.source_vocab.id("a"): {corpus.target_vocab.id("b"): 1.0}}
+        rows = {corpus.source_vocab.words.index("a"): {corpus.target_vocab.words.index("b"): 1.0}}
         table = TranslationTable(rows, {}, corpus.source_vocab, corpus.target_vocab)
         assert pair_log_likelihood(corpus.pairs[0], table) == pytest.approx(-math.log(2))
 
@@ -166,7 +169,7 @@ class TestPairLogLikelihood:
         base = train(corpus, TrainConfig(iterations=1)).table
         reference = pair_log_likelihood(corpus.pairs[0], base)
         bumped_rows = {e: dict(row) for e, row in base.rows.items()}
-        bumped_rows[sv.id("haus")][tv.id("house")] += 0.2
+        bumped_rows[sv.words.index("haus")][tv.words.index("house")] += 0.2
         bumped = TranslationTable(bumped_rows, dict(base.row_defaults), sv, tv)
         assert pair_log_likelihood(corpus.pairs[0], bumped) >= reference
 
@@ -180,9 +183,9 @@ class TestModelFile:
         loaded, metadata = read_table(path)
         assert metadata["iterations"] == "3"
         assert int(metadata["source_vocab_size"]) == 4
-        for e_word in corpus.source_vocab.words:
-            for f_word in corpus.target_vocab.words:
-                original = table.prob(corpus.source_vocab.id(e_word), corpus.target_vocab.id(f_word))
+        for e, e_word in enumerate(corpus.source_vocab.words):
+            for f, f_word in enumerate(corpus.target_vocab.words):
+                original = table.prob(e, f)
                 got = loaded.prob(loaded.source_vocab.get(e_word), loaded.target_vocab.get(f_word))
                 assert got == original
 
@@ -190,7 +193,7 @@ class TestModelFile:
         from alignsmooth import AddOne
 
         corpus = t1_corpus()
-        table = train(corpus, TrainConfig(2, 1.0, AddOne(3))).table
+        table = train(corpus, TrainConfig(2, 1.0, AddOne())).table
         path = tmp_path / "model.tsv"
         write_table(table, path)
         loaded, _ = read_table(path)
@@ -210,7 +213,7 @@ class TestModelFile:
         from alignsmooth import AddOne
 
         corpus = t1_corpus()
-        table = train(corpus, TrainConfig(2, 1.0, AddOne(3))).table
+        table = train(corpus, TrainConfig(2, 1.0, AddOne())).table
         path = tmp_path / "model.tsv"
         write_table(table, path)
         lines = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
@@ -219,13 +222,13 @@ class TestModelFile:
         loaded, _ = read_table(path)
         for e, default in table.row_defaults.items():
             word = corpus.source_vocab.word(e)
-            assert loaded.row_defaults[loaded.source_vocab.id(word)] == default
+            assert loaded.row_defaults[loaded.source_vocab.words.index(word)] == default
 
     def test_full_format_file_still_loads(self, tmp_path):
         from alignsmooth import AddOne
 
         corpus = t1_corpus()
-        table = train(corpus, TrainConfig(2, 1.0, AddOne(3))).table
+        table = train(corpus, TrainConfig(2, 1.0, AddOne())).table
         sv, tv = corpus.source_vocab, corpus.target_vocab
         path = tmp_path / "model.tsv"
         # the earlier format: every row spelled out in full, no default lines
@@ -237,7 +240,8 @@ class TestModelFile:
         assert loaded.row_defaults == {}
         for e in range(len(sv)):
             for f in range(len(tv)):
-                got = loaded.prob(loaded.source_vocab.id(sv.word(e)), loaded.target_vocab.id(tv.word(f)))
+                got = loaded.prob(loaded.source_vocab.words.index(sv.word(e)),
+                                  loaded.target_vocab.words.index(tv.word(f)))
                 assert got == table.prob(e, f)
 
     def test_subset_model_keeps_default_only_target_words(self, tmp_path):
@@ -246,14 +250,14 @@ class TestModelFile:
         # target words outside the slice have only row defaults
         corpus = random_corpus(11, max_pairs=20)
         part = corpus.subset([0])
-        table = train(part, TrainConfig(2, 0.5, AddOne(len(corpus.target_vocab)))).table
+        table = train(part, TrainConfig(2, 0.5, AddOne())).table
         path = tmp_path / "model.tsv"
         write_table(table, path)
         loaded, _ = read_table(path)
         assert len(loaded.target_vocab) == len(corpus.target_vocab)
         for f_word in corpus.target_vocab.words:
-            f = corpus.target_vocab.id(f_word)
-            assert loaded.prob(0, loaded.target_vocab.id(f_word)) == table.prob(0, f)
+            f = corpus.target_vocab.words.index(f_word)
+            assert loaded.prob(0, loaded.target_vocab.words.index(f_word)) == table.prob(0, f)
 
     @pytest.mark.parametrize("text,message", [
         ("# epsilon: 1.0\na\tx\tnan\n", "line 2: bad probability 'nan'"),

@@ -22,7 +22,7 @@ def single_position_devset(p_null, p_word):
     """One pair with l=1, m=1 whose posterior is (p_null, p_word), gold NULL."""
     corpus = corpus_from_tokens([["w"]], [["x"]])
     sv, tv = corpus.source_vocab, corpus.target_vocab
-    rows = {0: {tv.id("x"): p_null}, sv.id("w"): {tv.id("x"): p_word}}
+    rows = {0: {tv.words.index("x"): p_null}, sv.words.index("w"): {tv.words.index("x"): p_word}}
     table = TranslationTable(rows, {}, sv, tv)
     dev = DevSet(pairs=tuple(corpus.pairs), alignments=((0,),))
     return dev, table
@@ -37,7 +37,7 @@ class TestDevLogLikelihood:
 
     def test_single_term(self):
         corpus = corpus_from_tokens([["a"]], [["b"]])
-        rows = {corpus.source_vocab.id("a"): {corpus.target_vocab.id("b"): 1.0}}
+        rows = {corpus.source_vocab.words.index("a"): {corpus.target_vocab.words.index("b"): 1.0}}
         table = TranslationTable(rows, {}, corpus.source_vocab, corpus.target_vocab)
         dev = DevSet.unannotated(corpus.pairs)
         assert dev_log_likelihood(dev, table) == pytest.approx(-math.log(2))
@@ -74,7 +74,7 @@ class TestAlignedLogLikelihood:
     def test_all_null_gold(self):
         corpus = t1_corpus()
         tv = corpus.target_vocab
-        rows = {0: {tv.id("the"): 0.5, tv.id("house"): 0.5}}
+        rows = {0: {tv.words.index("the"): 0.5, tv.words.index("house"): 0.5}}
         table = TranslationTable(rows, {}, corpus.source_vocab, tv)
         dev = DevSet(pairs=(corpus.pairs[0],), alignments=((0, 0),))
         assert aligned_log_likelihood(dev, table) == pytest.approx(-2 * math.log(2))
@@ -138,11 +138,11 @@ class TestAlignmentErrorCount:
         table = train(corpus, TrainConfig(iterations=2)).table
         rng = random.Random(seed)
         alignments = tuple(
-            tuple(rng.randint(0, p.source_length) for _ in range(p.target_length))
+            tuple(rng.randint(0, len(p.source)) for _ in range(len(p.target)))
             for p in corpus.pairs
         )
         dev = DevSet(pairs=tuple(corpus.pairs), alignments=alignments)
-        m_total = sum(p.target_length for p in corpus.pairs)
+        m_total = sum(len(p.target) for p in corpus.pairs)
         assert 0 <= alignment_error_count(dev, table) <= m_total
 
 
@@ -188,9 +188,9 @@ class TestSmoothedErrorCount:
         corpus = corpus_from_tokens([["a", "b"]], [["x", "y"]])
         sv, tv = corpus.source_vocab, corpus.target_vocab
         rows = {
-            0: {tv.id("x"): 0.1, tv.id("y"): 0.1},
-            sv.id("a"): {tv.id("x"): 0.7, tv.id("y"): 0.2},
-            sv.id("b"): {tv.id("x"): 0.2, tv.id("y"): 0.7},
+            0: {tv.words.index("x"): 0.1, tv.words.index("y"): 0.1},
+            sv.words.index("a"): {tv.words.index("x"): 0.7, tv.words.index("y"): 0.2},
+            sv.words.index("b"): {tv.words.index("x"): 0.2, tv.words.index("y"): 0.7},
         }
         table = TranslationTable(rows, {}, sv, tv)
         dev = DevSet(pairs=tuple(corpus.pairs), alignments=((1, 2),))
@@ -203,11 +203,11 @@ class TestSmoothedErrorCount:
         table = train(corpus, TrainConfig(iterations=2)).table
         rng = random.Random(seed + 50)
         alignments = tuple(
-            tuple(rng.randint(0, p.source_length) for _ in range(p.target_length))
+            tuple(rng.randint(0, len(p.source)) for _ in range(len(p.target)))
             for p in corpus.pairs
         )
         dev = DevSet(pairs=tuple(corpus.pairs), alignments=alignments)
-        m_total = sum(p.target_length for p in corpus.pairs)
+        m_total = sum(len(p.target) for p in corpus.pairs)
         value = smoothed_error_count(dev, table, alpha=10.0)
         assert 0.0 <= value <= m_total
 

@@ -41,7 +41,7 @@ def test_write_then_read_is_exact(tmp_path_factory, seed, name, lam, sliced):
     sv, tv = corpus.source_vocab, corpus.target_vocab
     for e_word in sv.words:
         for f_word in tv.words:
-            expected = table.prob(sv.id(e_word), tv.id(f_word))
+            expected = table.prob(sv.words.index(e_word), tv.words.index(f_word))
             assert loaded.prob(loaded.source_vocab.get(e_word), loaded.target_vocab.get(f_word)) == expected
     by_word = {sv.word(e): d for e, d in table.row_defaults.items() if d > 0.0}
     assert {loaded.source_vocab.word(e): d for e, d in loaded.row_defaults.items()} == by_word

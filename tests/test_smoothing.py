@@ -2,15 +2,37 @@ import pytest
 
 from alignsmooth import (
     AddDice,
+    AddingStrategy,
     AddOne,
     AddSourceCount,
+    TrainConfig,
     UnknownTokenError,
     make_strategy,
     occurrence_stats,
+    train,
 )
 from alignsmooth.corpus import NULL_ID
+from alignsmooth.trainer import build_table, compile_corpus, maximize_smoothed
 
-from helpers import cooc_count, random_corpus, t1_corpus, weight
+from helpers import cooc_count, random_corpus, row_total, t1_corpus, weight
+
+
+def mstep_row(corpus, strategy, e):
+    """t(.|e) after one M-step on all-zero counts at lambda 1: g(e, f) over the derived row sum."""
+    slots = compile_corpus(corpus)
+    zeros = [0.0] * slots.slot_count, [0.0] * len(slots.rows)
+    table = build_table(corpus, slots, maximize_smoothed(slots, *zeros, strategy, 1.0), 1.0)
+    return [table.prob(e, f) for f in range(len(corpus.target_vocab))]
+
+
+class BaseOnly(AddingStrategy):
+    def base_weight(self, e):
+        return 0.5 + e
+
+
+class ExtrasOnly(AddingStrategy):
+    def extra_weights(self, e):
+        return {0: 1.0, 2: 0.5}
 
 
 @pytest.fixture
@@ -21,12 +43,12 @@ def t1_stats():
 
 class TestAddOne:
     def test_constant_one(self):
-        strategy = AddOne(3)
+        strategy = AddOne()
         assert weight(strategy, 0, 0) == 1.0
         assert weight(strategy, 5, 2) == 1.0
 
     def test_row_sum_is_vocab_size(self):
-        assert AddOne(3).row_sum(1) == 3.0
+        assert mstep_row(t1_corpus(), AddOne(), 1) == [1.0 / 3.0] * 3
 
 
 class TestAddSourceCount:
@@ -34,10 +56,10 @@ class TestAddSourceCount:
         corpus, stats = t1_stats
         strategy = AddSourceCount(stats)
         sv, tv = corpus.source_vocab, corpus.target_vocab
-        das = sv.id("das")
-        assert weight(strategy, das, tv.id("the")) == 2.0
-        assert weight(strategy, das, tv.id("book")) == 2.0  # independent of f
-        assert weight(strategy, sv.id("haus"), tv.id("the")) == 1.0
+        das = sv.words.index("das")
+        assert weight(strategy, das, tv.words.index("the")) == 2.0
+        assert weight(strategy, das, tv.words.index("book")) == 2.0  # independent of f
+        assert weight(strategy, sv.words.index("haus"), tv.words.index("the")) == 1.0
 
     def test_null_uses_pair_count(self, t1_stats):
         _, stats = t1_stats
@@ -45,8 +67,8 @@ class TestAddSourceCount:
 
     def test_row_sum(self, t1_stats):
         corpus, stats = t1_stats
-        strategy = AddSourceCount(stats)
-        assert strategy.row_sum(corpus.source_vocab.id("das")) == 2.0 * 3
+        das = corpus.source_vocab.words.index("das")
+        assert mstep_row(corpus, AddSourceCount(stats), das) == [2.0 / (2.0 * 3)] * 3
 
     def test_unknown_source_raises(self, t1_stats):
         _, stats = t1_stats
@@ -59,16 +81,17 @@ class TestAddDice:
         corpus, stats = t1_stats
         strategy = AddDice(stats)
         sv, tv = corpus.source_vocab, corpus.target_vocab
-        assert weight(strategy, sv.id("das"), tv.id("the")) == pytest.approx(1.0)
-        assert weight(strategy, sv.id("haus"), tv.id("the")) == pytest.approx(2 / 3)
-        assert weight(strategy, sv.id("haus"), tv.id("book")) == 0.0
+        assert weight(strategy, sv.words.index("das"), tv.words.index("the")) == pytest.approx(1.0)
+        assert weight(strategy, sv.words.index("haus"), tv.words.index("the")) == pytest.approx(2 / 3)
+        assert weight(strategy, sv.words.index("haus"), tv.words.index("book")) == 0.0
 
     def test_row_sum_covers_cooccurring_only(self, t1_stats):
         corpus, stats = t1_stats
-        strategy = AddDice(stats)
-        haus = corpus.source_vocab.id("haus")
+        haus = corpus.source_vocab.words.index("haus")
         # haus co-occurs with the and house: 2/3 + 2/2
-        assert strategy.row_sum(haus) == pytest.approx(2 / 3 + 1.0)
+        row_sum = 2 / 3 + 1.0
+        expected = [2 / 3 / row_sum, 1.0 / row_sum, 0.0]
+        assert mstep_row(corpus, AddDice(stats), haus) == pytest.approx(expected)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bounds_and_zero_iff_no_cooc(self, seed):
@@ -89,8 +112,16 @@ class TestStrategyContracts:
         stats = occurrence_stats(corpus)
         strategy = make_strategy(name, stats)
         for e in range(len(corpus.source_vocab)):
-            explicit = sum(weight(strategy, e, f) for f in range(len(corpus.target_vocab)))
-            assert strategy.row_sum(e) == pytest.approx(explicit, abs=1e-9)
+            weights = [weight(strategy, e, f) for f in range(len(corpus.target_vocab))]
+            expected = [g / sum(weights) for g in weights]
+            assert mstep_row(corpus, strategy, e) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("strategy", [BaseOnly(), ExtrasOnly()], ids=["base-only", "extras-only"])
+    def test_one_weight_method_is_enough(self, strategy):
+        corpus = t1_corpus()
+        table = train(corpus, TrainConfig(3, 0.7, strategy)).table
+        for e in range(len(corpus.source_vocab)):
+            assert row_total(table, e) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["add-one", "add-source-count", "add-dice"])
     def test_pure_function(self, name):

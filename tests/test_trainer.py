@@ -38,13 +38,14 @@ class TestExpectationCounts:
     def test_t1_expected_values(self, t1, t1_counts):
         slots, counts, totals = t1_counts
         sv, tv = t1.source_vocab, t1.target_vocab
-        assert slot_count(slots, counts, sv.id("das"), tv.id("the")) == pytest.approx(2 / 3, abs=1e-12)
-        assert totals[sv.id("das")] == pytest.approx(4 / 3, abs=1e-12)
+        das = sv.words.index("das")
+        assert slot_count(slots, counts, das, tv.words.index("the")) == pytest.approx(2 / 3, abs=1e-12)
+        assert totals[das] == pytest.approx(4 / 3, abs=1e-12)
 
     def test_no_cooccurrence_no_mass(self, t1, t1_counts):
         slots, counts, _ = t1_counts
         sv, tv = t1.source_vocab, t1.target_vocab
-        assert slot_count(slots, counts, sv.id("haus"), tv.id("book")) == 0.0
+        assert slot_count(slots, counts, sv.words.index("haus"), tv.words.index("book")) == 0.0
 
     def test_total_mass_equals_target_tokens(self, t1, t1_counts):
         assert sum(t1_counts[2]) == pytest.approx(4.0, abs=1e-12)
@@ -73,7 +74,7 @@ class TestMaximizeSmoothed:
         assert table_prob(t1, table, "haus", "the") == pytest.approx(0.5, abs=1e-12)
 
     def test_add_one_lambda_one(self, t1):
-        table = train(t1, TrainConfig(1, 1.0, AddOne(3))).table
+        table = train(t1, TrainConfig(1, 1.0, AddOne())).table
         assert table_prob(t1, table, "das", "the") == pytest.approx(5 / 13, abs=1e-12)
         assert table_prob(t1, table, "das", "house") == pytest.approx(4 / 13, abs=1e-12)
 
@@ -81,7 +82,7 @@ class TestMaximizeSmoothed:
         # lambda = n reproduces (count + n) / (count + n|F|) for every entry
         n = 2.5
         slots, counts, totals = t1_counts
-        table = train(t1, TrainConfig(1, n, AddOne(3))).table
+        table = train(t1, TrainConfig(1, n, AddOne())).table
         for e in range(len(t1.source_vocab)):
             for f in range(len(t1.target_vocab)):
                 closed = (slot_count(slots, counts, e, f) + n) / (totals[e] + n * 3)
@@ -89,12 +90,12 @@ class TestMaximizeSmoothed:
 
     def test_negative_lambda_rejected(self, t1):
         with pytest.raises(ValueError):
-            train(t1, TrainConfig(1, -0.5, AddOne(3)))
+            train(t1, TrainConfig(1, -0.5, AddOne()))
 
     def test_zero_denominator_row_goes_uniform(self, t1, t1_counts):
         # wipe one source word's counts to force the degenerate rule
         slots, counts, totals = t1_counts
-        das = t1.source_vocab.id("das")
+        das = t1.source_vocab.words.index("das")
         for s in slots.rows[das].values():
             counts[s] = 0.0
         totals[das] = 0.0
@@ -154,7 +155,7 @@ class TestTrain:
     def test_rows_normalized_after_every_mstep(self, name, lam):
         corpus = random_corpus(9, max_pairs=20)
         strategy = make_strategy(name, occurrence_stats(corpus))
-        target_tokens = sum(p.target_length for p in corpus.pairs)
+        target_tokens = sum(len(p.target) for p in corpus.pairs)
         for totals, table in kernel_steps(corpus, strategy, lam, 3):
             assert sum(totals) == pytest.approx(target_tokens, abs=1e-9)
             for e in range(len(corpus.source_vocab)):
@@ -169,7 +170,7 @@ class TestTrain:
             TrainConfig(epsilon=0.0)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="lambda"):
-                TrainConfig(lam=bad, strategy=AddOne(3))
+                TrainConfig(lam=bad, strategy=AddOne())
             with pytest.raises(ValueError, match="epsilon"):
                 TrainConfig(epsilon=bad)
         with pytest.raises(ValueError, match="strategy"):

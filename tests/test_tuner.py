@@ -164,8 +164,6 @@ class TestTune:
             small_tune_config(), TrainConfig(iterations=3),
         )
         assert result.lambda_star in {lam for lam, _ in result.evaluations}
-        assert result.strategy == "add-one"
-        assert result.objective == "ml-unannotated"
 
     def test_zero_always_candidate(self):
         corpus = t1_corpus()
@@ -192,7 +190,7 @@ class TestTune:
 
         corpus = corpus_from_tokens([["a"], ["b"]], [["x"], ["y"]])
         sv, tv = corpus.source_vocab, corpus.target_vocab
-        impossible_pair = SentencePair((sv.id("b"),), (tv.id("x"),))
+        impossible_pair = SentencePair((sv.words.index("b"),), (tv.words.index("x"),))
         impossible = DevSet(pairs=(impossible_pair,), alignments=((1,),))
         strategy = make_strategy("add-dice", occurrence_stats(corpus))
         with pytest.raises(TuningError) as err:
