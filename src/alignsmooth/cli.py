@@ -14,13 +14,14 @@ from .corpus import (
     UNKNOWN_ID,
     ParallelCorpus,
     SentencePair,
+    check_fraction,
     load_annotations,
     load_parallel_corpus,
     occurrence_stats,
     split_annotated,
 )
 from .errors import DataFormatError, TuningError, UnknownTokenError
-from .evaluation import evaluate_corpus
+from .evaluation import evaluate_corpus, links_from_alignment
 from .experiment import ExperimentSpec, report_text, report_tsv, run_experiment, tuning_data
 from .model import TranslationTable, read_table, viterbi_align, write_table
 from .objectives import OBJECTIVE_NAMES, Objective
@@ -176,13 +177,8 @@ def cmd_align(args) -> int:
     corpus = _load_onto_table(args, table)
     lines = []
     for pair in corpus.pairs:
-        alignment = viterbi_align(pair, table)
-        tokens = [
-            f"{i}-{j}"
-            for j, i in enumerate(alignment, start=1)
-            if i != 0 or args.emit_null
-        ]
-        lines.append(" ".join(tokens))
+        links = links_from_alignment(viterbi_align(pair, table), args.emit_null)
+        lines.append(" ".join(f"{i}-{j}" for i, j in sorted(links, key=lambda link: link[1])))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -196,6 +192,7 @@ def cmd_tune(args) -> int:
     objective = Objective(args.objective, args.alpha)
     tune_config = TuneConfig(args.grid, args.tol, args.max_evals)
     train_config = TrainConfig(iterations=args.iters, epsilon=args.epsilon)
+    check_fraction(args.dev_fraction)
     corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
     dev_annotation = None
     if objective.requires_annotation:

@@ -268,10 +268,15 @@ def split_annotated(annotation: dict[int, AnnotationEntry], k: int,
     return dev, test
 
 
-def split_unannotated(corpus: ParallelCorpus, fraction: float, seed: int) -> tuple[ParallelCorpus, ParallelCorpus]:
-    """Split a corpus into (train, dev) with dev holding floor(n * fraction) pairs."""
+def check_fraction(fraction: float) -> None:
+    """Reject a dev fraction outside the open interval (0, 1)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie strictly between 0 and 1, got {fraction}")
+
+
+def split_unannotated(corpus: ParallelCorpus, fraction: float, seed: int) -> tuple[ParallelCorpus, ParallelCorpus]:
+    """Split a corpus into (train, dev) with dev holding floor(n * fraction) pairs."""
+    check_fraction(fraction)
     n = len(corpus.pairs)
     dev_n = int(n * fraction)
     if dev_n < 1 or n - dev_n < 1:

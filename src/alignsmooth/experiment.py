@@ -9,9 +9,10 @@ ignored and every strategy shares one table per corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .corpus import (
+    check_fraction,
     load_annotations,
     load_parallel_corpus,
     occurrence_stats,
@@ -51,6 +52,7 @@ class ExperimentSpec:
         for name in self.objectives:
             Objective(name, self.alpha)
         TrainConfig(self.iterations, epsilon=self.epsilon)
+        check_fraction(self.dev_fraction)
 
 
 @dataclass
@@ -92,18 +94,19 @@ def run_experiment(spec: ExperimentSpec):
     dev_annotation, test_annotation = split_annotated(annotation, dev_size, spec.seed)
 
     stats = occurrence_stats(corpus)
-    baseline = train(corpus, TrainConfig(spec.iterations, 0.0, None, spec.epsilon))
+    config = TrainConfig(spec.iterations, epsilon=spec.epsilon)
+    baseline = train(corpus, config)
     baseline_report = evaluate_corpus(baseline.table, corpus, test_annotation)
 
     # training corpus name -> (corpus, dev set, statistics), built on first use
     setups = {}
-    # the lambda = 0 table of each training corpus ("full" or "slice"), shared by all strategies
-    zero_tables = {"full": baseline.table}
+    # training corpus name ("full" or "slice") -> lambda -> table
+    tables = {"full": {0.0: baseline.table}}
 
     cells = []
     for strategy_name in spec.strategies:
-        # lambda -> table for this strategy, per training corpus; dropped with the strategy
-        tables = {name: {0.0: table} for name, table in zero_tables.items()}
+        # lambda = 0 ignores the strategy, so only those tables carry over
+        tables = {name: {0.0: by_lambda[0.0]} for name, by_lambda in tables.items() if 0.0 in by_lambda}
         for objective_name in spec.objectives:
             cell = CellResult(strategy_name, objective_name)
             cells.append(cell)
@@ -119,27 +122,20 @@ def run_experiment(spec: ExperimentSpec):
                 tune_corpus, dev, tune_stats = setups[corpus_name]
                 result = tune(
                     tune_corpus, dev, make_strategy(strategy_name, tune_stats), objective,
-                    spec.tune_config, TrainConfig(iterations=spec.iterations, epsilon=spec.epsilon),
-                    tables.setdefault(corpus_name, {}),
+                    spec.tune_config, config, tables.setdefault(corpus_name, {}),
                 )
-                final_tables = tables["full"]
-                if result.lambda_star not in final_tables:
-                    final_tables[result.lambda_star] = train(
-                        corpus,
-                        TrainConfig(spec.iterations, result.lambda_star,
-                                    make_strategy(strategy_name, stats), spec.epsilon),
-                    ).table
-                report = evaluate_corpus(final_tables[result.lambda_star], corpus, test_annotation)
-                cell.lam = result.lambda_star
+                lam = result.lambda_star
+                if lam not in tables["full"]:
+                    strategy = make_strategy(strategy_name, stats)
+                    tables["full"][lam] = train(corpus, replace(config, lam=lam, strategy=strategy)).table
+                report = evaluate_corpus(tables["full"][lam], corpus, test_annotation)
+                cell.lam = lam
                 cell.aer = report.aer
                 cell.error_count = report.error_count
                 cell.decrease = baseline_report.aer - report.aer
             except (TuningError, DataFormatError, UnknownTokenError, ValueError) as err:
                 cell.status = "failed"
                 cell.reason = str(err)
-        for name, by_lambda in tables.items():
-            if 0.0 in by_lambda:
-                zero_tables.setdefault(name, by_lambda[0.0])
     return baseline_report, cells
 
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import AnnotationEntry, ParallelCorpus, SentencePair, adapt_annotation
-from .model import TranslationTable, link_posterior, link_scores, pair_log_likelihood, viterbi_align
+from .model import TranslationTable, float_sum, link_posterior, link_scores, pair_log_likelihood, viterbi_align
 
 OBJECTIVE_NAMES = ("ml-unannotated", "ml-annotated", "error-count", "smoothed-error-count")
 _MAXIMIZING = frozenset({"ml-unannotated", "ml-annotated"})
@@ -73,7 +73,7 @@ def _require_annotated(dev: DevSet) -> None:
 
 def dev_log_likelihood(dev: DevSet, table: TranslationTable) -> float:
     """Summed sentence-pair log-likelihood; -inf propagates."""
-    return sum(pair_log_likelihood(pair, table) for pair in dev.pairs)
+    return float_sum(pair_log_likelihood(pair, table) for pair in dev.pairs)
 
 
 def aligned_log_likelihood(dev: DevSet, table: TranslationTable) -> float:
@@ -117,7 +117,7 @@ def smoothed_error_count(dev: DevSet, table: TranslationTable, alpha: float = 10
             logs = [alpha * math.log(p) if p > 0.0 else None for p in row]
             top = max(x for x in logs if x is not None)
             weights = [math.exp(x - top) if x is not None else 0.0 for x in logs]
-            total += 1.0 - weights[gold] / sum(weights)
+            total += 1.0 - weights[gold] / float_sum(weights)
     return total
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .corpus import NULL_ID, ParallelCorpus
 from .errors import UnknownTokenError
-from .model import TranslationTable
+from .model import TranslationTable, float_sum
 from .smoothing import AddingStrategy
 
 _EMPTY: dict[int, float] = {}
@@ -109,7 +109,7 @@ def _estep(slots: SlotCorpus, probs: list[float], epsilon: float) -> tuple[list[
         degenerate = False
         for ids in zip(*[iter(links)] * width):
             values = [probs[s] for s in ids]
-            denom = sum(values)
+            denom = float_sum(values)
             if denom > 0.0:
                 pair_ll += log(denom)
             else:  # 1.0 * (1.0 / width) is the share 1/(l+1) exactly
@@ -144,7 +144,7 @@ def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float
         extras, denom, added = _EMPTY, totals[e], 0.0
         if not plain:
             base, extras = strategy.base_weight(e), strategy.extra_weights(e)
-            denom += lam * (base * slots.target_size + sum(extras.values()))
+            denom += lam * (base * slots.target_size + float_sum(extras.values()))
         if denom <= 0.0:
             defaults[e] = uniform
             probs += [uniform] * len(row)

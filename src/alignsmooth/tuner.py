@@ -16,7 +16,7 @@ count exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus import ParallelCorpus
 from .errors import TuningError
@@ -55,33 +55,22 @@ class TuneResult:
     evaluations: tuple[tuple[float, float], ...]
 
 
-def _is_better(value: float, best: float, maximize: bool) -> bool:
-    return value > best if maximize else value < best
+def grid_bracket(f, grid) -> tuple[float, float, float]:
+    """Evaluate f on the whole grid and bracket its smallest value.
 
-
-def grid_bracket(f, grid, maximize: bool = False) -> tuple[float, float, float]:
-    """Evaluate f on the whole grid and bracket the best point.
-
-    Returns (lo, mid, hi) with mid the best grid point.  If the best point
-    is an endpoint the bracket degenerates on that side (lo == mid or
-    mid == hi) and refinement will return mid unchanged.
+    Returns (lo, mid, hi) with mid the first grid point of smallest value,
+    NaN skipped.  If mid is an endpoint the bracket degenerates on that side
+    (lo == mid or mid == hi) and refinement will return mid unchanged.
     """
     grid = list(grid)
     if len(grid) < 3:
         raise ValueError("grid needs at least 3 points")
-    best_i = None
-    best_v = None
-    for i, x in enumerate(grid):
-        v = f(x)
-        if math.isnan(v):
-            continue
-        if best_v is None or _is_better(v, best_v, maximize):
-            best_i, best_v = i, v
-    if best_v is None or math.isinf(best_v):
+    values = [f(x) for x in grid]
+    finite = (i for i, v in enumerate(values) if not math.isnan(v))
+    best = min(finite, key=values.__getitem__, default=None)
+    if best is None or math.isinf(values[best]):
         raise TuningError("objective is not finite anywhere on the grid")
-    lo = grid[max(best_i - 1, 0)]
-    hi = grid[min(best_i + 1, len(grid) - 1)]
-    return lo, grid[best_i], hi
+    return grid[max(best - 1, 0)], grid[best], grid[min(best + 1, len(grid) - 1)]
 
 
 def brent_minimize(f, bracket, tolerance: float = 1e-4, max_evals: int = 100) -> tuple[float, float]:
@@ -173,33 +162,26 @@ def search_scale(f, grid, maximize: bool = False, tolerance: float = 1e-4,
                  max_refine_evals: int = 100) -> tuple[float, float, tuple[tuple[float, float], ...]]:
     """Grid sweep plus refinement; returns (best_lambda, best_value, trace).
 
-    Every objective evaluation is memoized, the trace is reported in
-    lambda order, and the winner is the best point evaluated anywhere
-    (ties resolve toward the smallest lambda).
+    Every evaluation of f is memoized, and negated once when maximizing, so
+    the grid and the refinement both minimize.  The winner is the first
+    smallest of those values in lambda order, NaN skipped (ties resolve
+    toward the smallest lambda); its value and the trace are as f returned.
     """
     cache: dict[float, float] = {}
 
-    def memo(x: float) -> float:
+    def signed(x: float) -> float:
         if x not in cache:
             cache[x] = f(x)
-        return cache[x]
+        return -cache[x] if maximize else cache[x]
 
-    signed = (lambda x: -memo(x)) if maximize else memo
     try:
-        bracket = grid_bracket(memo, grid, maximize)
-        brent_minimize(signed, bracket, tolerance, max_refine_evals)
+        brent_minimize(signed, grid_bracket(signed, grid), tolerance, max_refine_evals)
     except TuningError as err:
         err.evaluations = tuple(sorted(cache.items()))
         raise
-    best_lam = None
-    best_v = None
-    for lam in sorted(cache):
-        value = cache[lam]
-        if math.isnan(value):
-            continue
-        if best_v is None or _is_better(value, best_v, maximize):
-            best_lam, best_v = lam, value
-    return best_lam, best_v, tuple(sorted(cache.items()))
+    trace = tuple(sorted(cache.items()))
+    best = min((lam for lam, value in trace if not math.isnan(value)), key=signed)
+    return best, cache[best], trace
 
 
 def tune(
@@ -230,8 +212,7 @@ def tune(
     def score(lam: float) -> float:
         table = tables.get(lam) if tables is not None else None
         if table is None:
-            config = TrainConfig(base.iterations, lam, strategy, base.epsilon)
-            table = train(train_corpus, config).table
+            table = train(train_corpus, replace(base, lam=lam, strategy=strategy)).table
             if tables is not None:
                 tables[lam] = table
         return objective.evaluate(dev, table)

@@ -5,6 +5,7 @@ import random
 
 from alignsmooth import NULL_ID, AnnotationEntry, TranslationTable, corpus_from_tokens, evaluate_corpus
 from alignsmooth.errors import UnknownTokenError
+from alignsmooth.model import float_sum
 from alignsmooth.trainer import _estep, build_table, compile_corpus, maximize_smoothed
 
 NULL = "<NULL>"
@@ -44,7 +45,7 @@ def reference_em(src_sentences, tgt_sentences, iterations, add=0.0):
         for src, tgt in zip(src_sentences, tgt_sentences):
             full_src = [NULL] + list(src)
             for f in tgt:
-                den = sum(t[(e, f)] for e in full_src)
+                den = float_sum(t[(e, f)] for e in full_src)
                 for e in full_src:
                     share = t[(e, f)] / den
                     counts[(e, f)] += share
@@ -174,7 +175,7 @@ def dict_estep(corpus, table, epsilon):
         degenerate = False
         for f in pair.target:
             values = [row.get(f, default) for row, default in cached]
-            denom = sum(values)
+            denom = float_sum(values)
             if denom > 0.0:
                 pair_ll += math.log(denom)
                 inv = 1.0 / denom
@@ -210,7 +211,7 @@ def dict_mstep(counts, totals, source_vocab, target_vocab, strategy, lam, epsilo
                 defaults[e] = uniform
             continue
         base, extras = strategy.base_weight(e), strategy.extra_weights(e)
-        denom = total + lam * (base * len(target_vocab) + sum(extras.values()))
+        denom = total + lam * (base * len(target_vocab) + float_sum(extras.values()))
         if denom <= 0.0:
             defaults[e] = uniform
             continue
@@ -259,7 +260,7 @@ def prob_posterior(pair, table):
     posterior = []
     for f in pair.target:
         values = [table.prob(e, f) for e in sources]
-        denom = sum(values)
+        denom = float_sum(values)
         if denom > 0.0:
             posterior.append([v / denom for v in values])
         else:
@@ -284,7 +285,7 @@ def prob_pair_log_likelihood(pair, table):
     sources = (NULL_ID,) + pair.source
     total = math.log(table.epsilon) - len(pair.target) * math.log(len(sources))
     for f in pair.target:
-        denom = sum(table.prob(e, f) for e in sources)
+        denom = float_sum(table.prob(e, f) for e in sources)
         if denom <= 0.0:
             return float("-inf")
         total += math.log(denom)

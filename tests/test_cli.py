@@ -223,8 +223,9 @@ class TestUsageErrors:
         assert main(["frobnicate"]) == 1
 
     @pytest.mark.parametrize("command", ["tune", "experiment"])
-    @pytest.mark.parametrize("flags", [["--alpha", "0.5"], ["--iters", "0"], ["--grid", "0,1,inf"]],
-                             ids=["alpha", "iters", "grid"])
+    @pytest.mark.parametrize("flags", [["--alpha", "0.5"], ["--iters", "0"], ["--grid", "0,1,inf"],
+                                       ["--dev-fraction", "0"]],
+                             ids=["alpha", "iters", "grid", "dev-fraction"])
     def test_bad_setting_rejected_before_any_file_is_read(self, tmp_path, command, flags):
         # a missing file exits 2, so exit 1 shows the setting was checked first
         missing = str(tmp_path / "missing.txt")

@@ -17,6 +17,7 @@ from alignsmooth import (
     write_table,
 )
 from alignsmooth.corpus import NULL_TOKEN, SentencePair
+from alignsmooth.model import float_sum
 
 from helpers import random_corpus, row_total, t1_corpus, uniform_init
 
@@ -172,6 +173,11 @@ class TestPairLogLikelihood:
         bumped_rows[sv.words.index("haus")][tv.words.index("house")] += 0.2
         bumped = TranslationTable(bumped_rows, dict(base.row_defaults), sv, tv)
         assert pair_log_likelihood(corpus.pairs[0], bumped) >= reference
+
+
+def test_float_sum_is_a_left_fold():
+    # a compensated sum (the built-in sum() from Python 3.12 on) gives 2.0
+    assert float_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 class TestModelFile:

@@ -29,7 +29,8 @@ class TestGridBracket:
         assert grid_bracket(lambda x: -x, [0, 1, 2]) == (1, 2, 2)
 
     def test_left_degenerate_maximize(self):
-        assert grid_bracket(lambda x: -x, [0, 1, 2], maximize=True) == (0, 0, 1)
+        # grid_bracket minimizes; a maximized objective arrives negated
+        assert grid_bracket(lambda x: x, [0, 1, 2]) == (0, 0, 1)
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
@@ -37,11 +38,11 @@ class TestGridBracket:
 
     def test_all_non_finite_raises(self):
         with pytest.raises(TuningError):
-            grid_bracket(lambda x: float("-inf"), [0, 1, 2], maximize=True)
+            grid_bracket(lambda x: float("inf"), [0, 1, 2])
 
     def test_some_non_finite_ok(self):
-        f = lambda x: float("-inf") if x == 0 else -((x - 2) ** 2)
-        assert grid_bracket(f, [0, 1, 2, 3], maximize=True) == (1, 2, 3)
+        f = lambda x: float("inf") if x == 0 else (x - 2) ** 2
+        assert grid_bracket(f, [0, 1, 2, 3]) == (1, 2, 3)
 
 
 class TestBrentMinimize:
@@ -108,6 +109,19 @@ class TestSearchScale:
         grid = sorted(set(DEFAULT_GRID) | {0.0})
         search_scale(f, grid, tolerance=1e-8, max_refine_evals=40)
         assert len(set(calls)) <= len(grid) + 40
+
+    def test_maximize_ties_nan_and_unsigned_values(self):
+        values = {0.0: math.nan, 1.0: 5.0, 2.0: 1.0, 3.0: 5.0, 4.0: 1.0}
+        lam, value, trace = search_scale(values.__getitem__, sorted(values), maximize=True)
+        assert (lam, value) == (1.0, 5.0)
+        assert [x for x, _ in trace] == sorted(values)
+        assert math.isnan(trace[0][1])
+        assert trace[1:] == tuple((x, values[x]) for x in sorted(values)[1:])
+
+        lam, value, trace = search_scale(lambda x: 3.0 - (x - 2) ** 2, [0.0, 1.0, 2.5, 4.0],
+                                         maximize=True, tolerance=1e-6)
+        assert lam == pytest.approx(2.0, abs=1e-4)
+        assert value == max(v for _, v in trace) == 3.0 - (lam - 2) ** 2
 
 
 class TestTuneConfig:
