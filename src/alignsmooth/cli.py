@@ -47,7 +47,6 @@ def _corpus_args(sub):
 
 def _train_args(sub):
     sub.add_argument("--iters", type=int, default=10, help="EM iterations (default 10)")
-    sub.add_argument("--epsilon", type=float, default=1.0, help="model constant (default 1)")
 
 
 def _tune_args(sub, dev_size_default):
@@ -132,7 +131,7 @@ def cmd_train(args) -> int:
     strategy = None
     if args.lam > 0:
         strategy = make_strategy(args.strategy, occurrence_stats(corpus))
-    config = TrainConfig(args.iters, args.lam, strategy, args.epsilon)
+    config = TrainConfig(args.iters, args.lam, strategy)
     result = train(corpus, config)
     write_table(result.table, args.out, iterations=args.iters,
                 strategy=args.strategy if args.lam > 0 else "none", lam=args.lam)
@@ -191,7 +190,7 @@ def cmd_align(args) -> int:
 def cmd_tune(args) -> int:
     objective = Objective(args.objective, args.alpha)
     tune_config = TuneConfig(args.grid, args.tol, args.max_evals)
-    train_config = TrainConfig(iterations=args.iters, epsilon=args.epsilon)
+    train_config = TrainConfig(iterations=args.iters)
     check_fraction(args.dev_fraction)
     corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
     dev_annotation = None
@@ -243,7 +242,6 @@ def cmd_experiment(args) -> int:
         dev_fraction=args.dev_fraction,
         seed=args.seed,
         iterations=args.iters,
-        epsilon=args.epsilon,
         alpha=args.alpha,
         tune_config=TuneConfig(args.grid, args.tol, args.max_evals),
         lowercase=args.lowercase,

@@ -2,8 +2,8 @@
 strategy-by-objective combination, and its two report formats.
 
 Every model is a pure function of (training corpus, adding strategy,
-lambda) under the experiment's fixed iteration count and epsilon, so each
-such key is trained at most once per run.  At lambda = 0 the strategy is
+lambda) under the experiment's fixed iteration count, so each such key
+is trained at most once per run.  At lambda = 0 the strategy is
 ignored and every strategy shares one table per corpus.
 """
 
@@ -38,7 +38,6 @@ class ExperimentSpec:
     dev_fraction: float = 0.1
     seed: int = 13
     iterations: int = 10
-    epsilon: float = 1.0
     alpha: float = 10.0
     tune_config: TuneConfig = field(default_factory=TuneConfig)
     lowercase: bool = False
@@ -51,7 +50,7 @@ class ExperimentSpec:
                 raise ValueError(f"unknown adding strategy {name!r}")
         for name in self.objectives:
             Objective(name, self.alpha)
-        TrainConfig(self.iterations, epsilon=self.epsilon)
+        TrainConfig(self.iterations)
         check_fraction(self.dev_fraction)
 
 
@@ -94,12 +93,20 @@ def run_experiment(spec: ExperimentSpec):
     dev_annotation, test_annotation = split_annotated(annotation, dev_size, spec.seed)
 
     stats = occurrence_stats(corpus)
-    config = TrainConfig(spec.iterations, epsilon=spec.epsilon)
+    # objective name -> (objective, corpus name, corpus, dev set, stats); a bad split fails before training
+    setups, by_corpus = {}, {}
+    for name in spec.objectives:
+        objective = Objective(name, spec.alpha)
+        corpus_name = "full" if objective.requires_annotation else "slice"
+        if corpus_name not in by_corpus:
+            tune_corpus, dev = tuning_data(corpus, objective, dev_annotation, spec.dev_fraction, spec.seed)
+            tune_stats = stats if tune_corpus is corpus else occurrence_stats(tune_corpus)
+            by_corpus[corpus_name] = tune_corpus, dev, tune_stats
+        setups[name] = (objective, corpus_name, *by_corpus[corpus_name])
+    config = TrainConfig(spec.iterations)
     baseline = train(corpus, config)
     baseline_report = evaluate_corpus(baseline.table, corpus, test_annotation)
 
-    # training corpus name -> (corpus, dev set, statistics), built on first use
-    setups = {}
     # training corpus name ("full" or "slice") -> lambda -> table
     tables = {"full": {0.0: baseline.table}}
 
@@ -111,15 +118,7 @@ def run_experiment(spec: ExperimentSpec):
             cell = CellResult(strategy_name, objective_name)
             cells.append(cell)
             try:
-                objective = Objective(objective_name, spec.alpha)
-                corpus_name = "full" if objective.requires_annotation else "slice"
-                if corpus_name not in setups:
-                    tune_corpus, dev = tuning_data(
-                        corpus, objective, dev_annotation, spec.dev_fraction, spec.seed
-                    )
-                    tune_stats = stats if tune_corpus is corpus else occurrence_stats(tune_corpus)
-                    setups[corpus_name] = tune_corpus, dev, tune_stats
-                tune_corpus, dev, tune_stats = setups[corpus_name]
+                objective, corpus_name, tune_corpus, dev, tune_stats = setups[objective_name]
                 result = tune(
                     tune_corpus, dev, make_strategy(strategy_name, tune_stats), objective,
                     spec.tune_config, config, tables.setdefault(corpus_name, {}),

@@ -6,12 +6,13 @@ probabilities plus a per-row default shared by every other target word
 residual row).  An absent row behaves as all zeros.
 
 Model file format: UTF-8 TSV, ``#``-prefixed ``key: value`` metadata
-lines (vocabulary sizes, epsilon, iteration count, strategy, lambda)
-first.  A row default is one ``e<TAB><TAB>default`` line (tokens are
-never empty, so the empty field cannot be a word); every explicit entry
-that differs from its row default is one ``e<TAB>f<TAB>prob`` line.
-Probabilities are written with full precision so reloading reproduces
-them exactly, at a size proportional to the explicit entries.
+lines (vocabulary sizes, iteration count, strategy, lambda) first, read
+back as metadata only.  A row default is one ``e<TAB><TAB>default`` line
+(tokens are never empty, so the empty field cannot be a word); every
+explicit entry that differs from its row default is one
+``e<TAB>f<TAB>prob`` line.  Probabilities are written with full precision
+so reloading reproduces them exactly, at a size proportional to the
+explicit entries.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class TranslationTable:
     row_defaults: dict[int, float]
     source_vocab: Vocabulary
     target_vocab: Vocabulary
-    epsilon: float = 1.0
 
     def prob(self, e: int, f: int) -> float:
         """t(f|e); unknown-token sentinels score zero, bad ids raise."""
@@ -104,10 +104,10 @@ def viterbi_align(pair: SentencePair, table: TranslationTable) -> tuple[int, ...
 def pair_log_likelihood(pair: SentencePair, table: TranslationTable) -> float:
     """log of the pair's probability summed over all alignments.
 
-    Equals log(eps) - m*log(l+1) + sum_j log sum_i t(f_j|e_i); any target
-    word with an all-zero score yields -inf.
+    Equals -m*log(l+1) + sum_j log sum_i t(f_j|e_i), with P(m|e) = 1; any
+    target word with an all-zero score yields -inf.
     """
-    total = math.log(table.epsilon) - len(pair.target) * math.log(len(pair.source) + 1)
+    total = -len(pair.target) * math.log(len(pair.source) + 1)
     for values in link_scores(pair, table):
         denom = float_sum(values)
         if denom <= 0.0:
@@ -125,7 +125,6 @@ def write_table(table: TranslationTable, path, iterations=None, strategy=None, l
     meta = [
         ("source_vocab_size", len(table.source_vocab)),
         ("target_vocab_size", len(table.target_vocab)),
-        ("epsilon", repr(table.epsilon)),
     ]
     if iterations is not None:
         meta.append(("iterations", iterations))
@@ -157,7 +156,6 @@ def read_table(path) -> tuple[TranslationTable, dict]:
     rows: dict[int, dict[int, float]] = {}
     defaults: dict[int, float] = {}
     metadata: dict[str, str] = {}
-    epsilon = 1.0
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -167,13 +165,6 @@ def read_table(path) -> tuple[TranslationTable, dict]:
                 key, colon, value = (part.strip() for part in line[1:].partition(":"))
                 if colon:
                     metadata[key] = value
-                if colon and key == "epsilon":
-                    try:
-                        epsilon = float(value)
-                    except ValueError:
-                        epsilon = math.nan  # fails the range check
-                    if not 0.0 < epsilon < math.inf:
-                        raise DataFormatError(f"{path}: line {number}: bad epsilon {value!r}")
                 continue
             fields = line.split("\t")
             if len(fields) != 3 or not fields[0]:
@@ -191,5 +182,5 @@ def read_table(path) -> tuple[TranslationTable, dict]:
                 rows.setdefault(e, {})[target_vocab.add(fields[1])] = p
             else:
                 defaults[e] = p
-    table = TranslationTable(rows, defaults, source_vocab, target_vocab, epsilon)
+    table = TranslationTable(rows, defaults, source_vocab, target_vocab)
     return table, metadata

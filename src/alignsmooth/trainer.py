@@ -31,7 +31,6 @@ class TrainConfig:
     iterations: int = 10
     lam: float = 0.0
     strategy: AddingStrategy | None = None
-    epsilon: float = 1.0
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -40,8 +39,6 @@ class TrainConfig:
             raise ValueError(f"lambda must be finite and non-negative, got {self.lam!r}")
         if self.lam > 0.0 and self.strategy is None:
             raise ValueError("a positive lambda needs an adding strategy")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ def compile_corpus(corpus: ParallelCorpus) -> SlotCorpus:
     return SlotCorpus(rows, pairs, next(slot_ids), target_size)
 
 
-def _estep(slots: SlotCorpus, probs: list[float], epsilon: float) -> tuple[list[float], list[float], float]:
+def _estep(slots: SlotCorpus, probs: list[float]) -> tuple[list[float], list[float], float]:
     """Expected count per slot, per-source totals, and the log-likelihood.
 
     ``probs[s]`` is t(f|e) of slot s.  Counts and totals grow one link at
@@ -101,11 +98,10 @@ def _estep(slots: SlotCorpus, probs: list[float], epsilon: float) -> tuple[list[
     counts = [0.0] * slots.slot_count
     totals = [0.0] * len(slots.rows)
     log = math.log
-    log_eps = log(epsilon)
     log_likelihood = 0.0
     for sources, links in slots.pairs:
         width = len(sources)
-        pair_ll = log_eps - len(links) // width * log(width)
+        pair_ll = -(len(links) // width) * log(width)
         degenerate = False
         for ids in zip(*[iter(links)] * width):
             values = [probs[s] for s in ids]
@@ -144,7 +140,7 @@ def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float
         extras, denom, added = _EMPTY, totals[e], 0.0
         if not plain:
             base, extras = strategy.base_weight(e), strategy.extra_weights(e)
-            denom += lam * (base * slots.target_size + float_sum(extras.values()))
+            denom += lam * (base * slots.target_size + math.fsum(extras.values()))
         if denom <= 0.0:
             defaults[e] = uniform
             probs += [uniform] * len(row)
@@ -164,7 +160,7 @@ def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float
     return probs, defaults, outside
 
 
-def build_table(corpus: ParallelCorpus, slots: SlotCorpus, estimate: tuple, epsilon: float) -> TranslationTable:
+def build_table(corpus: ParallelCorpus, slots: SlotCorpus, estimate: tuple) -> TranslationTable:
     """The table of an M-step estimate: slots unequal to their row default, plus outside entries."""
     probs, defaults, outside = estimate
     rows: dict[int, dict[int, float]] = {}
@@ -176,22 +172,22 @@ def build_table(corpus: ParallelCorpus, slots: SlotCorpus, estimate: tuple, epsi
         explicit.update(outside.get(e, ()))
         if explicit:
             rows[e] = explicit
-    return TranslationTable(rows, defaults, corpus.source_vocab, corpus.target_vocab, epsilon)
+    return TranslationTable(rows, defaults, corpus.source_vocab, corpus.target_vocab)
 
 
 def train(corpus: ParallelCorpus, config: TrainConfig | None = None) -> TrainResult:
     """Run EM from the uniform table, smoothing every maximization step.
 
     The trace holds one training log-likelihood per iteration, evaluated
-    under the table that iteration started from.
+    under the table that iteration started from, with P(m|e) = 1.
     """
     config = config or TrainConfig()
     slots = compile_corpus(corpus)
     probs = [1.0 / slots.target_size] * slots.slot_count
     trace = []
     for _ in range(config.iterations):
-        counts, totals, log_likelihood = _estep(slots, probs, config.epsilon)
+        counts, totals, log_likelihood = _estep(slots, probs)
         trace.append(log_likelihood)
         estimate = maximize_smoothed(slots, counts, totals, config.strategy, config.lam)
         probs = estimate[0]
-    return TrainResult(build_table(corpus, slots, estimate, config.epsilon), tuple(trace))
+    return TrainResult(build_table(corpus, slots, estimate), tuple(trace))

@@ -84,13 +84,13 @@ def row_total(table, e):
     return sum(row.values()) + (len(table.target_vocab) - len(row)) * default
 
 
-def uniform_init(source_vocab, target_vocab, epsilon=1.0):
+def uniform_init(source_vocab, target_vocab):
     """t(f|e) = 1/|F| for every source word, the standard starting point."""
     if len(source_vocab) == 0 or len(target_vocab) == 0:
         raise ValueError("vocabularies must be non-empty")
     share = 1.0 / len(target_vocab)
     defaults = {e: share for e in range(len(source_vocab))}
-    return TranslationTable({}, defaults, source_vocab, target_vocab, epsilon)
+    return TranslationTable({}, defaults, source_vocab, target_vocab)
 
 
 def hand_report(links, sure, possible=()):
@@ -156,14 +156,13 @@ def garbage_collector_corpus():
 _EMPTY = {}
 
 
-def dict_estep(corpus, table, epsilon):
+def dict_estep(corpus, table):
     """Expected counts {e: {f: c}}, per-source totals and the log-likelihood."""
     if len(table.source_vocab) < len(corpus.source_vocab) or len(
         table.target_vocab
     ) < len(corpus.target_vocab):
         raise UnknownTokenError("table vocabularies do not cover this corpus")
     counts, totals = {}, {}
-    log_eps = math.log(epsilon)
     log_likelihood = 0.0
     for pair in corpus.pairs:
         sources = (NULL_ID,) + pair.source
@@ -171,7 +170,7 @@ def dict_estep(corpus, table, epsilon):
         cached = [
             (table.rows.get(e, _EMPTY), table.row_defaults.get(e, 0.0)) for e in sources
         ]
-        pair_ll = log_eps - len(pair.target) * math.log(width)
+        pair_ll = -len(pair.target) * math.log(width)
         degenerate = False
         for f in pair.target:
             values = [row.get(f, default) for row, default in cached]
@@ -196,7 +195,7 @@ def dict_estep(corpus, table, epsilon):
     return counts, totals, log_likelihood
 
 
-def dict_mstep(counts, totals, source_vocab, target_vocab, strategy, lam, epsilon=1.0):
+def dict_mstep(counts, totals, source_vocab, target_vocab, strategy, lam):
     """Re-estimate a TranslationTable from dict counts; zero denominators go uniform."""
     uniform = 1.0 / len(target_vocab)
     plain = lam == 0.0
@@ -211,7 +210,7 @@ def dict_mstep(counts, totals, source_vocab, target_vocab, strategy, lam, epsilo
                 defaults[e] = uniform
             continue
         base, extras = strategy.base_weight(e), strategy.extra_weights(e)
-        denom = total + lam * (base * len(target_vocab) + float_sum(extras.values()))
+        denom = total + lam * (base * len(target_vocab) + math.fsum(extras.values()))
         if denom <= 0.0:
             defaults[e] = uniform
             continue
@@ -223,30 +222,30 @@ def dict_mstep(counts, totals, source_vocab, target_vocab, strategy, lam, epsilo
         rows[e] = row
         if added > 0.0:
             defaults[e] = added / denom
-    return TranslationTable(rows, defaults, source_vocab, target_vocab, epsilon)
+    return TranslationTable(rows, defaults, source_vocab, target_vocab)
 
 
 def dict_train(corpus, config):
     """EM through dict_estep/dict_mstep: (table, log-likelihood trace)."""
-    table = uniform_init(corpus.source_vocab, corpus.target_vocab, config.epsilon)
+    table = uniform_init(corpus.source_vocab, corpus.target_vocab)
     trace = []
     for _ in range(config.iterations):
-        counts, totals, log_likelihood = dict_estep(corpus, table, config.epsilon)
+        counts, totals, log_likelihood = dict_estep(corpus, table)
         trace.append(log_likelihood)
         table = dict_mstep(counts, totals, corpus.source_vocab, corpus.target_vocab,
-                           config.strategy, config.lam, config.epsilon)
+                           config.strategy, config.lam)
     return table, tuple(trace)
 
 
-def kernel_steps(corpus, strategy, lam, iterations, epsilon=1.0):
+def kernel_steps(corpus, strategy, lam, iterations):
     """Run the slot kernel step by step; yields (E-step totals, table after the M-step)."""
     slots = compile_corpus(corpus)
     probs = [1.0 / len(corpus.target_vocab)] * slots.slot_count
     for _ in range(iterations):
-        counts, totals, _ = _estep(slots, probs, epsilon)
+        counts, totals, _ = _estep(slots, probs)
         estimate = maximize_smoothed(slots, counts, totals, strategy, lam)
         probs = estimate[0]
-        yield totals, build_table(corpus, slots, estimate, epsilon)
+        yield totals, build_table(corpus, slots, estimate)
 
 
 def slot_count(slots, counts, e, f):
@@ -283,7 +282,7 @@ def prob_viterbi(pair, table):
 
 def prob_pair_log_likelihood(pair, table):
     sources = (NULL_ID,) + pair.source
-    total = math.log(table.epsilon) - len(pair.target) * math.log(len(sources))
+    total = -len(pair.target) * math.log(len(sources))
     for f in pair.target:
         denom = float_sum(table.prob(e, f) for e in sources)
         if denom <= 0.0:

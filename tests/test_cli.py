@@ -98,9 +98,9 @@ class TestAlignCommand:
     def test_bad_model_number_exits_two(self, t1_files, tmp_path, capsys):
         src, tgt = t1_files
         model = tmp_path / "model.tsv"
-        model.write_text("# epsilon: abc\n", encoding="utf-8")
+        model.write_text("# strategy: none\ndas\tthe\tabc\n", encoding="utf-8")
         assert main(["align", "-s", src, "-t", tgt, "-m", str(model)]) == 2
-        assert f"{model}: line 1: bad epsilon" in capsys.readouterr().err
+        assert f"{model}: line 2: bad probability 'abc'" in capsys.readouterr().err
 
     def test_empty_corpus_exits_two(self, t1_files, tmp_path, capsys):
         model = self.model(t1_files, tmp_path, capsys)
@@ -288,6 +288,21 @@ class TestExperimentCommand:
         assert baseline is not None and cells
         for values in cells.values():
             assert values["decreasement"] == pytest.approx(baseline - values["aer"], abs=1e-12)
+
+    def test_unusable_dev_fraction_fails_before_training(self, tmp_path, monkeypatch):
+        import alignsmooth.experiment as experiment
+
+        calls, real_train = [], experiment.train
+        monkeypatch.setattr(experiment, "train", lambda *args: calls.append(args) or real_train(*args))
+        src, tgt, ann = toy_paths()
+        args = ["experiment", "-s", src, "-t", tgt, "-a", ann, "--strategies", "add-one",
+                "--grid", "0,0.5,2", "--iters", "3", "--dev-fraction", "0.01"]
+        out_dir = tmp_path / "exp"
+        assert main(args + ["-o", str(out_dir)]) == 1
+        assert calls == [] and not out_dir.exists()
+        # 0.01 of 54 pairs is only needed by ml-unannotated
+        assert main(args + ["--objectives", "error-count", "-o", str(out_dir)]) == 0
+        assert calls
 
     def test_failed_cells_keep_baseline_and_exit_3(self, tmp_path, monkeypatch):
         import alignsmooth.experiment as experiment

@@ -94,9 +94,9 @@ def test_zero_denominator_estep_matches_oracle():
     # every target word scores zero: each link gets 1/(l+1) and every pair -inf
     corpus = random_corpus(3, max_pairs=10)
     slots = compile_corpus(corpus)
-    counts, totals, log_likelihood = _estep(slots, [0.0] * slots.slot_count, 1.0)
+    counts, totals, log_likelihood = _estep(slots, [0.0] * slots.slot_count)
     zero = TranslationTable({}, {}, corpus.source_vocab, corpus.target_vocab)
-    oracle_counts, oracle_totals, oracle_ll = dict_estep(corpus, zero, 1.0)
+    oracle_counts, oracle_totals, oracle_ll = dict_estep(corpus, zero)
     assert log_likelihood == oracle_ll == float("-inf")
     assert totals == [oracle_totals.get(e, 0.0) for e in range(len(corpus.source_vocab))]
     for e, row in oracle_counts.items():

@@ -250,6 +250,20 @@ class TestModelFile:
                                   loaded.target_vocab.words.index(tv.word(f)))
                 assert got == table.prob(e, f)
 
+    @pytest.mark.parametrize("value", ["1.0", "0.5", "abc"])
+    def test_older_epsilon_line_is_kept_as_metadata(self, tmp_path, value):
+        from alignsmooth import AddOne
+
+        table = train(t1_corpus(), TrainConfig(2, 0.5, AddOne())).table
+        path = tmp_path / "model.tsv"
+        write_table(table, path)
+        older = tmp_path / "older.tsv"
+        older.write_text(f"# epsilon: {value}\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        (loaded, _), (old, metadata) = read_table(path), read_table(older)
+        assert metadata["epsilon"] == value
+        assert (old.rows, old.row_defaults) == (loaded.rows, loaded.row_defaults)
+        assert old.target_vocab.words == loaded.target_vocab.words
+
     def test_subset_model_keeps_default_only_target_words(self, tmp_path):
         from alignsmooth import AddOne
 
@@ -268,9 +282,7 @@ class TestModelFile:
     @pytest.mark.parametrize("text,message", [
         ("# epsilon: 1.0\na\tx\tnan\n", "line 2: bad probability 'nan'"),
         ("# epsilon: 1.0\na\tx\tinf\n", "line 2: bad probability 'inf'"),
-        ("# epsilon: abc\na\tx\t0.5\n", "line 1: bad epsilon 'abc'"),
-        ("# epsilon: 0\na\tx\t0.5\n", "line 1: bad epsilon '0'"),
-    ], ids=["nan-probability", "inf-probability", "epsilon-not-a-number", "epsilon-zero"])
+    ], ids=["nan-probability", "inf-probability"])
     def test_bad_number_names_file_and_line(self, tmp_path, text, message):
         from alignsmooth import DataFormatError
 

@@ -21,7 +21,7 @@ def mstep_row(corpus, strategy, e):
     """t(.|e) after one M-step on all-zero counts at lambda 1: g(e, f) over the derived row sum."""
     slots = compile_corpus(corpus)
     zeros = [0.0] * slots.slot_count, [0.0] * len(slots.rows)
-    table = build_table(corpus, slots, maximize_smoothed(slots, *zeros, strategy, 1.0), 1.0)
+    table = build_table(corpus, slots, maximize_smoothed(slots, *zeros, strategy, 1.0))
     return [table.prob(e, f) for f in range(len(corpus.target_vocab))]
 
 

@@ -1,16 +1,21 @@
 import math
+import random
 
 import pytest
 
 from alignsmooth import (
+    STRATEGY_NAMES,
     AddOne,
     TrainConfig,
     UnknownTokenError,
+    load_parallel_corpus,
     make_strategy,
     occurrence_stats,
     train,
+    viterbi_align,
 )
-from alignsmooth.corpus import ParallelCorpus
+from alignsmooth.corpus import ParallelCorpus, SentencePair, Vocabulary
+from alignsmooth.data import toy_paths
 from alignsmooth.trainer import _estep, build_table, compile_corpus, maximize_smoothed
 
 from helpers import kernel_steps, random_corpus, reference_em, row_total, slot_count, t1_corpus, table_prob, NULL
@@ -20,7 +25,7 @@ def uniform_estep(corpus):
     """Slots, per-slot counts and per-source totals of the E-step from the uniform table."""
     slots = compile_corpus(corpus)
     probs = [1.0 / len(corpus.target_vocab)] * slots.slot_count
-    counts, totals, _ = _estep(slots, probs, 1.0)
+    counts, totals, _ = _estep(slots, probs)
     return slots, counts, totals
 
 
@@ -99,7 +104,7 @@ class TestMaximizeSmoothed:
         for s in slots.rows[das].values():
             counts[s] = 0.0
         totals[das] = 0.0
-        table = build_table(t1, slots, maximize_smoothed(slots, counts, totals, None, 0.0), 1.0)
+        table = build_table(t1, slots, maximize_smoothed(slots, counts, totals, None, 0.0))
         assert table.prob(das, 0) == pytest.approx(1 / 3)
         assert row_total(table, das) == pytest.approx(1.0, abs=1e-12)
 
@@ -166,21 +171,63 @@ class TestTrain:
             TrainConfig(iterations=0)
         with pytest.raises(ValueError):
             TrainConfig(lam=-1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(epsilon=0.0)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="lambda"):
                 TrainConfig(lam=bad, strategy=AddOne())
-            with pytest.raises(ValueError, match="epsilon"):
-                TrainConfig(epsilon=bad)
         with pytest.raises(ValueError, match="strategy"):
             TrainConfig(lam=0.5)
 
-    def test_epsilon_shifts_loglik_constant(self):
-        corpus = t1_corpus()
-        base = train(corpus, TrainConfig(iterations=3, epsilon=1.0))
-        shifted = train(corpus, TrainConfig(iterations=3, epsilon=0.5))
-        offset = len(corpus.pairs) * math.log(0.5)
-        for a, b in zip(base.log_likelihood_trace, shifted.log_likelihood_trace):
-            assert b == pytest.approx(a + offset, abs=1e-9)
-        assert shifted.table.rows == base.table.rows
+
+def relabelled(corpus, seed):
+    """The same pairs with both vocabularies numbered in a shuffled order (NULL stays 0)."""
+    rng = random.Random(seed)
+    source_words, target_words = list(corpus.source_vocab.words[1:]), list(corpus.target_vocab.words)
+    rng.shuffle(source_words)
+    rng.shuffle(target_words)
+    source_vocab, target_vocab = Vocabulary.with_null(), Vocabulary()
+    for word in source_words:
+        source_vocab.add(word)
+    for word in target_words:
+        target_vocab.add(word)
+    pairs = [
+        SentencePair(tuple(source_vocab.get(corpus.source_vocab.word(e)) for e in pair.source),
+                     tuple(target_vocab.get(corpus.target_vocab.word(f)) for f in pair.target))
+        for pair in corpus.pairs
+    ]
+    return ParallelCorpus(pairs, source_vocab, target_vocab)
+
+
+def probs_by_word(corpus, table):
+    return {
+        (e_word, f_word): table_prob(corpus, table, e_word, f_word)
+        for e_word in corpus.source_vocab.words for f_word in corpus.target_vocab.words
+    }
+
+
+def toy_train(corpus, name, lam):
+    strategy = make_strategy(name, occurrence_stats(corpus)) if lam > 0 else None
+    return train(corpus, TrainConfig(4, lam, strategy))
+
+
+class TestOrder:
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_vocabulary_order_changes_no_bit(self, name):
+        toy = load_parallel_corpus(*toy_paths()[:2])
+        for seed in range(3):
+            other = relabelled(toy, seed)
+            for lam in (0.01, 0.3, 5.0):
+                expected, got = toy_train(toy, name, lam), toy_train(other, name, lam)
+                assert probs_by_word(other, got.table) == probs_by_word(toy, expected.table)
+                assert got.log_likelihood_trace == expected.log_likelihood_trace
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_pair_order_keeps_alignments_within_tolerance(self, name):
+        # counts add up in corpus order, so only the last bits may move
+        toy = load_parallel_corpus(*toy_paths()[:2])
+        backwards = toy.subset(range(len(toy.pairs) - 1, -1, -1))
+        for lam in (0.0, 0.01, 0.3, 5.0):
+            expected, got = toy_train(toy, name, lam).table, toy_train(backwards, name, lam).table
+            assert [viterbi_align(pair, got) for pair in toy.pairs] == \
+                [viterbi_align(pair, expected) for pair in toy.pairs]
+            want = probs_by_word(toy, expected)
+            assert probs_by_word(toy, got) == pytest.approx(want, rel=1e-12, abs=0.0)
