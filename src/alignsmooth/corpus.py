@@ -5,7 +5,11 @@ File formats
 Parallel corpus: two UTF-8 text files with one sentence per line and
 whitespace-separated tokens.  Line k of the source file is paired with
 line k of the target file; the files must have equal line counts and no
-empty lines.
+empty lines.  ``<NULL>`` names the NULL word, so no source line may hold it.
+
+Every reader ends lines at ``\n``, ``\r\n`` or ``\r`` only, so a form
+feed or U+2028 inside a line is whitespace, not a line break.  Corpus and
+annotation files may start with a UTF-8 BOM, which is dropped.
 
 Annotation file: UTF-8 text with one record per line::
 
@@ -97,12 +101,35 @@ class ParallelCorpus:
         return ParallelCorpus(picked, self.source_vocab, self.target_vocab)
 
 
+def utf8_error(path) -> DataFormatError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return DataFormatError(f"{path}: line {line}: not valid UTF-8 ({err.reason})")
+    return DataFormatError(f"{path}: not valid UTF-8")
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without line ends or a leading BOM."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:  # newline=None: \r\n and \r read as \n
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def read_token_lines(path, lowercase: bool = False) -> list[list[str]]:
     """Read one whitespace-tokenized sentence per line; reject empty lines."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
     sentences = []
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         if lowercase:
             line = line.lower()
         tokens = line.split()
@@ -112,7 +139,7 @@ def read_token_lines(path, lowercase: bool = False) -> list[list[str]]:
     return sentences
 
 
-def corpus_from_tokens(source_sentences, target_sentences) -> ParallelCorpus:
+def corpus_from_tokens(source_sentences, target_sentences, source_name="source") -> ParallelCorpus:
     """Build an indexed corpus from pre-tokenized sentence lists."""
     if len(source_sentences) != len(target_sentences):
         raise DataFormatError(
@@ -124,9 +151,11 @@ def corpus_from_tokens(source_sentences, target_sentences) -> ParallelCorpus:
     source_vocab = Vocabulary.with_null()
     target_vocab = Vocabulary()
     pairs = []
-    for src, tgt in zip(source_sentences, target_sentences):
+    for number, (src, tgt) in enumerate(zip(source_sentences, target_sentences), start=1):
         if not src or not tgt:
             raise DataFormatError("sentences must contain at least one token")
+        if NULL_TOKEN in src:
+            raise DataFormatError(f"{source_name}: line {number}: {NULL_TOKEN} is reserved for the NULL word")
         pairs.append(
             SentencePair(
                 tuple(source_vocab.add(w) for w in src),
@@ -139,7 +168,7 @@ def corpus_from_tokens(source_sentences, target_sentences) -> ParallelCorpus:
 def load_parallel_corpus(source_path, target_path, lowercase: bool = False) -> ParallelCorpus:
     source_sentences = read_token_lines(source_path, lowercase)
     target_sentences = read_token_lines(target_path, lowercase)
-    return corpus_from_tokens(source_sentences, target_sentences)
+    return corpus_from_tokens(source_sentences, target_sentences, source_path)
 
 
 @dataclass
@@ -193,48 +222,49 @@ def load_annotations(path, corpus: ParallelCorpus) -> dict[int, AnnotationEntry]
     """Gold links keyed by 0-based pair index."""
     sure: dict[int, set[tuple[int, int]]] = {}
     possible: dict[int, set[tuple[int, int]]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise DataFormatError(
-                    f"{path}: record {number}: expected 'pair src tgt flag', got {line!r}"
-                )
-            try:
-                pair_no, src_pos, tgt_pos = (int(x) for x in fields[:3])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: record {number}: non-integer position in {line!r}"
-                ) from None
-            flag = fields[3]
-            if flag not in ("S", "P"):
-                raise DataFormatError(
-                    f"{path}: record {number}: unknown flag {flag!r} (expected S or P)"
-                )
-            if not 1 <= pair_no <= len(corpus.pairs):
-                raise DataFormatError(
-                    f"{path}: record {number}: pair index {pair_no} out of range "
-                    f"(corpus has {len(corpus.pairs)} pairs)"
-                )
-            pair = corpus.pairs[pair_no - 1]
-            if not 0 <= src_pos <= len(pair.source):
-                raise DataFormatError(
-                    f"{path}: record {number}: source position {src_pos} out of range "
-                    f"(source length {len(pair.source)})"
-                )
-            if not 1 <= tgt_pos <= len(pair.target):
-                raise DataFormatError(
-                    f"{path}: record {number}: target position {tgt_pos} out of range "
-                    f"(target length {len(pair.target)})"
-                )
-            key = pair_no - 1
-            link = (src_pos, tgt_pos)
-            possible.setdefault(key, set()).add(link)
-            if flag == "S":
-                sure.setdefault(key, set()).add(link)
+    for number, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise DataFormatError(
+                f"{path}: record {number}: expected 'pair src tgt flag', got {line!r}"
+            )
+        try:
+            pair_no, src_pos, tgt_pos = (int(x) for x in fields[:3])
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: record {number}: non-integer position in {line!r}"
+            ) from None
+        flag = fields[3]
+        if flag not in ("S", "P"):
+            raise DataFormatError(
+                f"{path}: record {number}: unknown flag {flag!r} (expected S or P)"
+            )
+        if not 1 <= pair_no <= len(corpus.pairs):
+            raise DataFormatError(
+                f"{path}: record {number}: pair index {pair_no} out of range "
+                f"(corpus has {len(corpus.pairs)} pairs)"
+            )
+        pair = corpus.pairs[pair_no - 1]
+        if not 0 <= src_pos <= len(pair.source):
+            raise DataFormatError(
+                f"{path}: record {number}: source position {src_pos} out of range "
+                f"(source length {len(pair.source)})"
+            )
+        if not 1 <= tgt_pos <= len(pair.target):
+            raise DataFormatError(
+                f"{path}: record {number}: target position {tgt_pos} out of range "
+                f"(target length {len(pair.target)})"
+            )
+        key = pair_no - 1
+        link = (src_pos, tgt_pos)
+        possible.setdefault(key, set()).add(link)
+        if flag == "S":
+            sure.setdefault(key, set()).add(link)
+    if not possible:
+        raise DataFormatError(f"{path}: no alignment records")
     return {
         key: AnnotationEntry(frozenset(sure.get(key, ())), frozenset(links))
         for key, links in possible.items()

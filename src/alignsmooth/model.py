@@ -18,9 +18,10 @@ explicit entries.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
-from .corpus import NULL_ID, UNKNOWN_ID, SentencePair, Vocabulary
+from .corpus import NULL_ID, UNKNOWN_ID, SentencePair, Vocabulary, utf8_error
 from .errors import DataFormatError, UnknownTokenError
 
 _EMPTY: dict[int, float] = {}
@@ -121,6 +122,8 @@ def write_table(table: TranslationTable, path, iterations=None, strategy=None, l
 
     A target word no entry names is written once against the first row
     with a default, so the reloaded table keeps it in its vocabulary.
+    The file is written whole beside ``path`` and then renamed onto it,
+    so a failed write leaves any earlier file as it was.
     """
     meta = [
         ("source_vocab_size", len(table.source_vocab)),
@@ -135,52 +138,71 @@ def write_table(table: TranslationTable, path, iterations=None, strategy=None, l
     source_word, target_word = table.source_vocab.word, table.target_vocab.word
     defaults = {e: d for e, d in table.row_defaults.items() if d > 0.0}
     unnamed = set(range(len(table.target_vocab))).difference(*table.rows.values())
-    with open(path, "w", encoding="utf-8") as handle:
-        for key, value in meta:
-            handle.write(f"# {key}: {value}\n")
-        for e in sorted(set(table.rows) | set(defaults)):
-            if e in defaults:
-                handle.write(f"{source_word(e)}\t\t{defaults[e]!r}\n")
-            for f, p in sorted(table.rows.get(e, _EMPTY).items()):
-                handle.write(f"{source_word(e)}\t{target_word(f)}\t{p!r}\n")
-        if defaults:
-            e = min(defaults)
-            for f in sorted(unnamed):
-                handle.write(f"{source_word(e)}\t{target_word(f)}\t{defaults[e]!r}\n")
+    partial = f"{path}.{os.getpid()}.tmp"  # open() gives it the umask's mode, as it did path
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            for key, value in meta:
+                handle.write(f"# {key}: {value}\n")
+            for e in sorted(set(table.rows) | set(defaults)):
+                if e in defaults:
+                    handle.write(f"{source_word(e)}\t\t{defaults[e]!r}\n")
+                for f, p in sorted(table.rows.get(e, _EMPTY).items()):
+                    handle.write(f"{source_word(e)}\t{target_word(f)}\t{p!r}\n")
+            if defaults:
+                e = min(defaults)
+                for f in sorted(unnamed):
+                    handle.write(f"{source_word(e)}\t{target_word(f)}\t{defaults[e]!r}\n")
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def read_table(path) -> tuple[TranslationTable, dict]:
-    """Load a model file, sparse or with full rows; returns the table and its metadata."""
+    """Load a model file, sparse or with full rows; returns the table and its metadata.
+
+    A repeated ``e<TAB>f`` entry and a second default line for one ``e``
+    are rejected with the file and line, as is text that is not UTF-8.
+    """
     source_vocab = Vocabulary.with_null()
     target_vocab = Vocabulary()
     rows: dict[int, dict[int, float]] = {}
     defaults: dict[int, float] = {}
     metadata: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                key, colon, value = (part.strip() for part in line[1:].partition(":"))
-                if colon:
-                    metadata[key] = value
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or not fields[0]:
-                raise DataFormatError(
-                    f"{path}: line {number}: expected e<TAB>f<TAB>prob or e<TAB><TAB>default, got {line!r}"
-                )
-            try:
-                p = float(fields[2])
-            except ValueError:
-                p = math.nan  # fails the range check
-            if not 0.0 <= p < math.inf:
-                raise DataFormatError(f"{path}: line {number}: bad probability {fields[2]!r}")
-            e = source_vocab.add(fields[0])
-            if fields[1]:
-                rows.setdefault(e, {})[target_vocab.add(fields[1])] = p
-            else:
-                defaults[e] = p
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                if line.startswith("#"):
+                    key, colon, value = (part.strip() for part in line[1:].partition(":"))
+                    if colon:
+                        metadata[key] = value
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3 or not fields[0]:
+                    raise DataFormatError(
+                        f"{path}: line {number}: expected e<TAB>f<TAB>prob or e<TAB><TAB>default, got {line!r}"
+                    )
+                try:
+                    p = float(fields[2])
+                except ValueError:
+                    p = math.nan  # fails the range check
+                if not 0.0 <= p < math.inf:
+                    raise DataFormatError(f"{path}: line {number}: bad probability {fields[2]!r}")
+                e = source_vocab.add(fields[0])
+                if fields[1]:
+                    row, f = rows.setdefault(e, {}), target_vocab.add(fields[1])
+                    if f in row:
+                        raise DataFormatError(f"{path}: line {number}: repeated entry {fields[0]!r} {fields[1]!r}")
+                    row[f] = p
+                elif e in defaults:
+                    raise DataFormatError(f"{path}: line {number}: second default for {fields[0]!r}")
+                else:
+                    defaults[e] = p
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     table = TranslationTable(rows, defaults, source_vocab, target_vocab)
     return table, metadata

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from .corpus import OccurrenceStats
 
-STRATEGY_NAMES = ("add-one", "add-source-count", "add-dice")
-
 _EMPTY: dict[int, float] = {}
 
 
@@ -22,6 +20,9 @@ class AddingStrategy:
     """Interface shared by all adding strategies."""
 
     name = "base"
+
+    def __init__(self, stats: OccurrenceStats | None = None):
+        self.stats = stats
 
     def base_weight(self, e: int) -> float:
         return 0.0
@@ -35,6 +36,9 @@ class AddOne(AddingStrategy):
 
     name = "add-one"
 
+    def __init__(self, stats: OccurrenceStats | None = None):
+        super().__init__()  # g needs no statistics, so training does not keep them alive
+
     def base_weight(self, e: int) -> float:
         return 1.0
 
@@ -43,9 +47,6 @@ class AddSourceCount(AddingStrategy):
     """Pseudo-count equal to how often the source word occurs in training."""
 
     name = "add-source-count"
-
-    def __init__(self, stats: OccurrenceStats):
-        self.stats = stats
 
     def base_weight(self, e: int) -> float:
         return float(self.stats.source_count(e))
@@ -57,7 +58,7 @@ class AddDice(AddingStrategy):
     name = "add-dice"
 
     def __init__(self, stats: OccurrenceStats):
-        self.stats = stats
+        super().__init__(stats)
         self._rows: dict[int, dict[int, float]] = {}
 
     def extra_weights(self, e: int) -> dict[int, float]:
@@ -73,12 +74,13 @@ class AddDice(AddingStrategy):
         return row
 
 
+_STRATEGIES = (AddOne, AddSourceCount, AddDice)
+STRATEGY_NAMES = tuple(strategy.name for strategy in _STRATEGIES)
+
+
 def make_strategy(name: str, stats: OccurrenceStats) -> AddingStrategy:
     """Build a strategy from its CLI token and training-corpus statistics."""
-    if name == "add-one":
-        return AddOne()
-    if name == "add-source-count":
-        return AddSourceCount(stats)
-    if name == "add-dice":
-        return AddDice(stats)
+    for strategy in _STRATEGIES:
+        if strategy.name == name:
+            return strategy(stats)
     raise ValueError(f"unknown adding strategy {name!r} (choose from {STRATEGY_NAMES})")

@@ -6,9 +6,9 @@ Every iteration re-estimates the table as
 
 where g comes from the configured adding strategy as a row base weight
 plus sparse extra weights; the row sum is derived from those two over the
-whole target vocabulary.  With lambda = 0 this is the plain
-relative-frequency step and the strategy is ignored, so the unsmoothed
-baseline falls out of the same code path bit for bit.
+whole target vocabulary.  With lambda = 0 the same step runs with g = 0,
+the base strategy, so the unsmoothed relative-frequency baseline falls out
+of the same code path bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .corpus import NULL_ID, ParallelCorpus
 from .errors import UnknownTokenError
 from .model import TranslationTable, float_sum
 from .smoothing import AddingStrategy
-
-_EMPTY: dict[int, float] = {}
 
 
 @dataclass(frozen=True)
@@ -121,39 +119,36 @@ def _estep(slots: SlotCorpus, probs: list[float]) -> tuple[list[float], list[flo
 
 
 def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float],
-                      strategy: AddingStrategy | None, lam: float) -> tuple[list[float], dict, dict]:
+                      strategy: AddingStrategy, lam: float) -> tuple[list[float], dict, dict]:
     """Re-estimate t from slot counts plus lambda-scaled pseudo-counts.
 
     Returns the new probability of every slot, the per-row defaults that
     cover targets outside a row's slots, and pseudo-count entries that
     fall outside the corpus support.  Rows whose denominator is zero get
     the degenerate uniform row, so every row is a full distribution.
+    At lambda = 0 with g = 0 (the base strategy) it is the plain step, bit for bit.
     """
     uniform = 1.0 / slots.target_size
-    plain = lam == 0.0
     probs: list[float] = []
     defaults: dict[int, float] = {}
     outside: dict[int, dict[int, float]] = {}
     end = 0
     for e, row in enumerate(slots.rows):
         start, end = end, end + len(row)
-        extras, denom, added = _EMPTY, totals[e], 0.0
-        if not plain:
-            base, extras = strategy.base_weight(e), strategy.extra_weights(e)
-            denom += lam * (base * slots.target_size + math.fsum(extras.values()))
+        base, extras = strategy.base_weight(e), strategy.extra_weights(e)
+        denom = totals[e] + lam * (base * slots.target_size + math.fsum(extras.values()))
         if denom <= 0.0:
             defaults[e] = uniform
             probs += [uniform] * len(row)
             continue
-        if not plain:
-            added = lam * base
+        added = lam * base
         if extras:
             probs += [
                 (c + added + lam * extras.get(f, 0.0)) / denom
                 for f, c in zip(row, counts[start:end])
             ]
             outside[e] = {f: (added + lam * g) / denom for f, g in extras.items() if f not in row}
-        else:  # c + 0.0 == c, so a plain row is c / total exactly
+        else:  # c + 0.0 == c, so an unsmoothed row is c / total exactly
             probs += [(c + added) / denom for c in counts[start:end]]
         if added > 0.0:
             defaults[e] = added / denom
@@ -182,12 +177,13 @@ def train(corpus: ParallelCorpus, config: TrainConfig | None = None) -> TrainRes
     under the table that iteration started from, with P(m|e) = 1.
     """
     config = config or TrainConfig()
+    strategy = config.strategy if config.lam > 0.0 else AddingStrategy()
     slots = compile_corpus(corpus)
     probs = [1.0 / slots.target_size] * slots.slot_count
     trace = []
     for _ in range(config.iterations):
         counts, totals, log_likelihood = _estep(slots, probs)
         trace.append(log_likelihood)
-        estimate = maximize_smoothed(slots, counts, totals, config.strategy, config.lam)
+        estimate = maximize_smoothed(slots, counts, totals, strategy, config.lam)
         probs = estimate[0]
     return TrainResult(build_table(corpus, slots, estimate), tuple(trace))

@@ -4,6 +4,7 @@ import pytest
 
 from alignsmooth.cli import main
 from alignsmooth.data import toy_paths
+from alignsmooth.model import read_table
 
 
 @pytest.fixture
@@ -318,3 +319,78 @@ class TestExperimentCommand:
         assert "baseline\taer\t" in tsv
         assert tsv.count("\tstatus\tfailed") == 2
         assert "forced failure" in tsv
+
+
+class TestInputBytes:
+    def files(self, tmp_path, source: bytes, target: bytes):
+        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+        src.write_bytes(source)
+        tgt.write_bytes(target)
+        return str(src), str(tgt)
+
+    def toy_model(self, tmp_path):
+        src, tgt, _ = toy_paths()
+        model = str(tmp_path / "model.tsv")
+        assert main(["train", "-s", src, "-t", tgt, "--iters", "1", "-o", model]) == 0
+        return src, tgt, model
+
+    def test_lines_end_only_at_newline_and_carriage_return(self, tmp_path, capsys):
+        # a form feed or U+0085 is whitespace inside a line, not a line break
+        src, tgt = self.files(tmp_path, "a\x0cb\r\nle\x85chat\rc\n".encode(),
+                              "x\r\nthe cat\ry\x0cz\n".encode())
+        model = str(tmp_path / "model.tsv")
+        assert main(["train", "-s", src, "-t", tgt, "--iters", "1", "-o", model]) == 0
+        assert "(3 pairs, 1 iterations)" in capsys.readouterr().out
+        table, _ = read_table(model)
+        assert sorted(table.source_vocab.words) == ["<NULL>", "a", "b", "c", "chat", "le"]
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_invalid_utf8_corpus_names_file_and_line(self, tmp_path, capsys, side):
+        good, bad = b"a\nb c\n", b"a\nb \xff\n"
+        paths = self.files(tmp_path, *((bad, good) if side == 0 else (good, bad)))
+        out = str(tmp_path / "model.tsv")
+        assert main(["train", "-s", paths[0], "-t", paths[1], "-o", out]) == 2
+        assert f"{paths[side]}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_annotation_names_file_and_line(self, tmp_path, capsys):
+        src, tgt, model = self.toy_model(tmp_path)
+        ann = tmp_path / "ann.txt"
+        ann.write_bytes(b"1 1 1 S\r\n\xef\xbb\n")
+        assert main(["eval", "-s", src, "-t", tgt, "-m", model, "-a", str(ann)]) == 2
+        assert f"{ann}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_model_names_file(self, tmp_path, capsys):
+        src, tgt = self.files(tmp_path, b"a\n", b"x\n")
+        model = tmp_path / "model.tsv"
+        model.write_bytes(b"# strategy: none\na\tx\t1.0\n\xc3\tx\t0.5\n")
+        assert main(["align", "-s", src, "-t", tgt, "-m", str(model)]) == 2
+        assert f"{model}: line 3: not valid UTF-8" in capsys.readouterr().err
+
+    def test_leading_bom_is_dropped(self, tmp_path, capsys):
+        bom = "\ufeff".encode()
+        src, tgt = self.files(tmp_path, bom + b"a b\n", bom + b"x y\n")
+        model = str(tmp_path / "model.tsv")
+        assert main(["train", "-s", src, "-t", tgt, "--iters", "2", "-o", model]) == 0
+        table, _ = read_table(model)
+        assert table.source_vocab.words == ("<NULL>", "a", "b")
+        assert table.target_vocab.words == ("x", "y")
+        ann = tmp_path / "ann.txt"
+        ann.write_bytes(bom + b"1 1 1 S\n1 2 2 S\n")
+        assert main(["eval", "-s", src, "-t", tgt, "-m", model, "-a", str(ann)]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_source_null_token_is_rejected(self, tmp_path, capsys):
+        src, tgt = self.files(tmp_path, b"a\n<NULL> a\n", b"x\ny\n")
+        out = str(tmp_path / "model.tsv")
+        assert main(["train", "-s", src, "-t", tgt, "-o", out]) == 2
+        assert f"{src}: line 2: <NULL> is reserved" in capsys.readouterr().err
+        # on the target side it is an ordinary word
+        assert main(["train", "-s", tgt, "-t", src, "--iters", "1", "-o", out]) == 0
+        assert "<NULL>" in read_table(out)[0].target_vocab.words
+
+    def test_annotation_without_records_names_file(self, tmp_path, capsys):
+        src, tgt, model = self.toy_model(tmp_path)
+        ann = tmp_path / "ann.txt"
+        ann.write_text("# only a comment\n", encoding="utf-8")
+        assert main(["eval", "-s", src, "-t", tgt, "-m", model, "-a", str(ann)]) == 2
+        assert f"{ann}: no alignment records" in capsys.readouterr().err

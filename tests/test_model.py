@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -299,3 +300,34 @@ class TestModelFile:
         path.write_text("\tthe\t0.5\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             read_table(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("a\tx\t0.5\nb\tx\t0.5\na\tx\t0.25\n", "line 3: repeated entry 'a' 'x'"),
+        ("# strategy: add-one\na\t\t0.5\na\tx\t0.5\na\t\t0.25\n", "line 4: second default for 'a'"),
+    ], ids=["entry", "default"])
+    def test_repeated_line_names_file_and_line(self, tmp_path, text, message):
+        from alignsmooth import DataFormatError
+
+        path = tmp_path / "model.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError) as raised:
+            read_table(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        corpus = t1_corpus()
+        table = train(corpus, TrainConfig(iterations=2)).table
+        path = tmp_path / "model.tsv"
+        write_table(table, path)
+        before = path.read_bytes()
+        plain = tmp_path / "plain.txt"
+        plain.write_text("", encoding="utf-8")
+        assert path.stat().st_mode == plain.stat().st_mode  # the umask's mode, as open() gives
+        plain.unlink()
+        # a target id outside the vocabulary raises partway through the write
+        broken = TranslationTable({**table.rows, 1: {**table.rows[1], 99: 0.5}}, table.row_defaults,
+                                  corpus.source_vocab, corpus.target_vocab)
+        with pytest.raises(UnknownTokenError):
+            write_table(broken, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.tsv"]

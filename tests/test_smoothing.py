@@ -50,6 +50,10 @@ class TestAddOne:
     def test_row_sum_is_vocab_size(self):
         assert mstep_row(t1_corpus(), AddOne(), 1) == [1.0 / 3.0] * 3
 
+    def test_keeps_no_statistics(self, t1_stats):
+        # training holds the strategy, so statistics it kept would stay in memory
+        assert make_strategy("add-one", t1_stats[1]).stats is None
+
 
 class TestAddSourceCount:
     def test_counts_on_t1(self, t1_stats):

@@ -5,6 +5,7 @@ import pytest
 
 from alignsmooth import (
     STRATEGY_NAMES,
+    AddingStrategy,
     AddOne,
     TrainConfig,
     UnknownTokenError,
@@ -27,6 +28,13 @@ def uniform_estep(corpus):
     probs = [1.0 / len(corpus.target_vocab)] * slots.slot_count
     counts, totals, _ = _estep(slots, probs)
     return slots, counts, totals
+
+
+class AllTargets(AddingStrategy):
+    """Extra weight 1 on every target word of the vocabulary."""
+
+    def extra_weights(self, e):
+        return dict.fromkeys(range(len(self.stats.target_counts)), 1.0)
 
 
 @pytest.fixture
@@ -104,7 +112,7 @@ class TestMaximizeSmoothed:
         for s in slots.rows[das].values():
             counts[s] = 0.0
         totals[das] = 0.0
-        table = build_table(t1, slots, maximize_smoothed(slots, counts, totals, None, 0.0))
+        table = build_table(t1, slots, maximize_smoothed(slots, counts, totals, AddingStrategy(), 0.0))
         assert table.prob(das, 0) == pytest.approx(1 / 3)
         assert row_total(table, das) == pytest.approx(1.0, abs=1e-12)
 
@@ -146,14 +154,18 @@ class TestTrain:
         assert first.rows == second.rows
         assert first.row_defaults == second.row_defaults
 
-    @pytest.mark.parametrize("name", ["add-one", "add-source-count", "add-dice"])
+    @pytest.mark.parametrize("name", ["add-one", "add-source-count", "add-dice", "all-targets"])
     def test_lambda_zero_identity(self, name):
+        # all-targets also weighs targets a row never co-occurs with; at
+        # lambda = 0 the step runs with g = 0, so they get no zero entries
         corpus = random_corpus(6, max_pairs=15)
-        strategy = make_strategy(name, occurrence_stats(corpus))
-        smoothed = train(corpus, TrainConfig(10, 0.0, strategy)).table
-        baseline = train(corpus, TrainConfig(10, 0.0, None)).table
-        assert smoothed.rows == baseline.rows
-        assert smoothed.row_defaults == baseline.row_defaults
+        stats = occurrence_stats(corpus)
+        strategy = AllTargets(stats) if name == "all-targets" else make_strategy(name, stats)
+        smoothed = train(corpus, TrainConfig(10, 0.0, strategy))
+        baseline = train(corpus, TrainConfig(10, 0.0, None))
+        assert smoothed.table.rows == baseline.table.rows
+        assert smoothed.table.row_defaults == baseline.table.row_defaults
+        assert smoothed.log_likelihood_trace == baseline.log_likelihood_trace
 
     @pytest.mark.parametrize("name", ["add-one", "add-source-count", "add-dice"])
     @pytest.mark.parametrize("lam", [0.0, 0.7, 5.0])
