@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .corpus import (
     UNKNOWN_ID,
@@ -202,7 +203,7 @@ def cmd_tune(args) -> int:
             dev_annotation, _ = split_annotated(dev_annotation, args.dev_size, args.seed)
     train_corpus, dev = tuning_data(corpus, objective, dev_annotation, args.dev_fraction, args.seed)
     strategy = make_strategy(args.strategy, occurrence_stats(train_corpus))
-    result = tune(train_corpus, dev, strategy, objective, tune_config, train_config)
+    result = tune(train_corpus, dev, objective, replace(train_config, strategy=strategy), tune_config)
     lines = [
         f"strategy\t{args.strategy}",
         f"objective\t{args.objective}",

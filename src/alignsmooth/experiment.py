@@ -93,36 +93,34 @@ def run_experiment(spec: ExperimentSpec):
     dev_annotation, test_annotation = split_annotated(annotation, dev_size, spec.seed)
 
     stats = occurrence_stats(corpus)
-    # objective name -> (objective, corpus name, corpus, dev set, stats); a bad split fails before training
-    setups, by_corpus = {}, {}
-    for name in spec.objectives:
-        objective = Objective(name, spec.alpha)
+    objectives = [Objective(name, spec.alpha) for name in spec.objectives]
+    # training corpus name -> (corpus, dev set, stats); a bad split fails before training
+    setups = {}
+    for objective in objectives:
         corpus_name = "full" if objective.requires_annotation else "slice"
-        if corpus_name not in by_corpus:
+        if corpus_name not in setups:
             tune_corpus, dev = tuning_data(corpus, objective, dev_annotation, spec.dev_fraction, spec.seed)
-            tune_stats = stats if tune_corpus is corpus else occurrence_stats(tune_corpus)
-            by_corpus[corpus_name] = tune_corpus, dev, tune_stats
-        setups[name] = (objective, corpus_name, *by_corpus[corpus_name])
+            setups[corpus_name] = tune_corpus, dev, stats if tune_corpus is corpus else occurrence_stats(tune_corpus)
     config = TrainConfig(spec.iterations)
     baseline = train(corpus, config)
     baseline_report = evaluate_corpus(baseline.table, corpus, test_annotation)
 
-    # training corpus name ("full" or "slice") -> lambda -> table
+    # training corpus name -> lambda -> table
     tables = {"full": {0.0: baseline.table}}
 
     cells = []
     for strategy_name in spec.strategies:
         # lambda = 0 ignores the strategy, so only those tables carry over
         tables = {name: {0.0: by_lambda[0.0]} for name, by_lambda in tables.items() if 0.0 in by_lambda}
-        for objective_name in spec.objectives:
-            cell = CellResult(strategy_name, objective_name)
+        for objective in objectives:
+            cell = CellResult(strategy_name, objective.name)
             cells.append(cell)
             try:
-                objective, corpus_name, tune_corpus, dev, tune_stats = setups[objective_name]
-                result = tune(
-                    tune_corpus, dev, make_strategy(strategy_name, tune_stats), objective,
-                    spec.tune_config, config, tables.setdefault(corpus_name, {}),
-                )
+                corpus_name = "full" if objective.requires_annotation else "slice"
+                tune_corpus, dev, tune_stats = setups[corpus_name]
+                strategy = make_strategy(strategy_name, tune_stats)
+                result = tune(tune_corpus, dev, objective, replace(config, strategy=strategy),
+                              spec.tune_config, tables.setdefault(corpus_name, {}))
                 lam = result.lambda_star
                 if lam not in tables["full"]:
                     strategy = make_strategy(strategy_name, stats)

@@ -7,12 +7,16 @@ residual row).  An absent row behaves as all zeros.
 
 Model file format: UTF-8 TSV, ``#``-prefixed ``key: value`` metadata
 lines (vocabulary sizes, iteration count, strategy, lambda) first, read
-back as metadata only.  A row default is one ``e<TAB><TAB>default`` line
-(tokens are never empty, so the empty field cannot be a word); every
-explicit entry that differs from its row default is one
-``e<TAB>f<TAB>prob`` line.  Probabilities are written with full precision
-so reloading reproduces them exactly, at a size proportional to the
-explicit entries.
+back as metadata only; a metadata line holds no tab, so a word that
+starts with ``#`` is still a word.  A row default is one
+``e<TAB><TAB>default`` line (tokens are never empty, so the empty field
+cannot be a word); every explicit entry that differs from its row
+default is one ``e<TAB>f<TAB>prob`` line, and every target word is named
+by some line.  Probabilities are written with full precision so
+reloading reproduces them exactly, at a size proportional to the
+explicit entries.  Reading checks the vocabulary sizes against the
+metadata and that every row sums to 1, so a cut or edited file is
+rejected.
 """
 
 from __future__ import annotations
@@ -117,24 +121,22 @@ def pair_log_likelihood(pair: SentencePair, table: TranslationTable) -> float:
     return total
 
 
-def write_table(table: TranslationTable, path, iterations=None, strategy=None, lam=None) -> None:
+def write_table(table: TranslationTable, path, *, iterations, strategy, lam) -> None:
     """Write every explicit entry and nonzero row default, metadata first.
 
     A target word no entry names is written once against the first row
-    with a default, so the reloaded table keeps it in its vocabulary.
+    with a default, or as a 0.0 entry of the NULL row when no row has
+    one, so the reloaded table keeps it in its vocabulary.
     The file is written whole beside ``path`` and then renamed onto it,
     so a failed write leaves any earlier file as it was.
     """
     meta = [
         ("source_vocab_size", len(table.source_vocab)),
         ("target_vocab_size", len(table.target_vocab)),
+        ("iterations", iterations),
+        ("strategy", strategy),
+        ("lambda", repr(float(lam))),
     ]
-    if iterations is not None:
-        meta.append(("iterations", iterations))
-    if strategy is not None:
-        meta.append(("strategy", strategy))
-    if lam is not None:
-        meta.append(("lambda", repr(float(lam))))
     source_word, target_word = table.source_vocab.word, table.target_vocab.word
     defaults = {e: d for e, d in table.row_defaults.items() if d > 0.0}
     unnamed = set(range(len(table.target_vocab))).difference(*table.rows.values())
@@ -148,10 +150,9 @@ def write_table(table: TranslationTable, path, iterations=None, strategy=None, l
                     handle.write(f"{source_word(e)}\t\t{defaults[e]!r}\n")
                 for f, p in sorted(table.rows.get(e, _EMPTY).items()):
                     handle.write(f"{source_word(e)}\t{target_word(f)}\t{p!r}\n")
-            if defaults:
-                e = min(defaults)
-                for f in sorted(unnamed):
-                    handle.write(f"{source_word(e)}\t{target_word(f)}\t{defaults[e]!r}\n")
+            e = min(defaults, default=NULL_ID)
+            for f in sorted(unnamed):
+                handle.write(f"{source_word(e)}\t{target_word(f)}\t{defaults.get(e, 0.0)!r}\n")
         os.replace(partial, path)
     except BaseException:
         if os.path.exists(partial):
@@ -162,8 +163,11 @@ def write_table(table: TranslationTable, path, iterations=None, strategy=None, l
 def read_table(path) -> tuple[TranslationTable, dict]:
     """Load a model file, sparse or with full rows; returns the table and its metadata.
 
-    A repeated ``e<TAB>f`` entry and a second default line for one ``e``
-    are rejected with the file and line, as is text that is not UTF-8.
+    A line with no tab may be ``#`` metadata; any other line must have
+    three fields.  A repeated ``e<TAB>f`` entry, a second default line for
+    one ``e``, a vocabulary size unequal to its metadata and a row whose
+    mass is not 1 are rejected with the file and the line or word, as is
+    text that is not UTF-8.
     """
     source_vocab = Vocabulary.with_null()
     target_vocab = Vocabulary()
@@ -176,12 +180,12 @@ def read_table(path) -> tuple[TranslationTable, dict]:
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                if line.startswith("#"):
+                fields = line.split("\t")
+                if len(fields) == 1 and line.startswith("#"):
                     key, colon, value = (part.strip() for part in line[1:].partition(":"))
                     if colon:
                         metadata[key] = value
                     continue
-                fields = line.split("\t")
                 if len(fields) != 3 or not fields[0]:
                     raise DataFormatError(
                         f"{path}: line {number}: expected e<TAB>f<TAB>prob or e<TAB><TAB>default, got {line!r}"
@@ -204,5 +208,19 @@ def read_table(path) -> tuple[TranslationTable, dict]:
                     defaults[e] = p
     except UnicodeDecodeError:
         raise utf8_error(path) from None
+    for key, vocab in (("source_vocab_size", source_vocab), ("target_vocab_size", target_vocab)):
+        if key in metadata:
+            try:
+                size = int(metadata[key])
+            except ValueError:
+                raise DataFormatError(f"{path}: {key} {metadata[key]!r} is not an integer") from None
+            if size != len(vocab):
+                raise DataFormatError(f"{path}: {key} is {size}, but the file names {len(vocab)} words")
+    target_size = len(target_vocab)
+    for e in sorted(rows.keys() | defaults.keys()):
+        row = rows.get(e, _EMPTY)
+        mass = math.fsum(row.values()) + defaults.get(e, 0.0) * (target_size - len(row))
+        if not abs(mass - 1.0) <= 1e-9:
+            raise DataFormatError(f"{path}: row {source_vocab.word(e)!r} sums to {mass!r}, not 1")
     table = TranslationTable(rows, defaults, source_vocab, target_vocab)
     return table, metadata

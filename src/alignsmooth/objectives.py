@@ -110,13 +110,15 @@ def smoothed_error_count(dev: DevSet, table: TranslationTable, alpha: float = 10
     _require_annotated(dev)
     if not 1.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and at least 1, got {alpha!r}")
+    log, exp, minus_inf = math.log, math.exp, -math.inf
     total = 0.0
     for pair, alignment in zip(dev.pairs, dev.alignments):
         posterior = link_posterior(pair, table)
         for row, gold in zip(posterior, alignment):
-            logs = [alpha * math.log(p) if p > 0.0 else None for p in row]
-            top = max(x for x in logs if x is not None)
-            weights = [math.exp(x - top) if x is not None else 0.0 for x in logs]
+            # some posterior entry is positive, so top is finite and exp(-inf - top) is 0.0
+            logs = [alpha * log(p) if p > 0.0 else minus_inf for p in row]
+            top = max(logs)
+            weights = [exp(x - top) for x in logs]
             total += 1.0 - weights[gold] / float_sum(weights)
     return total
 

@@ -22,7 +22,6 @@ from .corpus import ParallelCorpus
 from .errors import TuningError
 from .model import TranslationTable
 from .objectives import DevSet, Objective
-from .smoothing import AddingStrategy
 from .trainer import TrainConfig, train
 
 # (3 - sqrt(5)) / 2, the golden-section step fraction
@@ -42,6 +41,8 @@ class TuneConfig:
             raise ValueError(f"grid candidates must be finite and non-negative, got {self.grid!r}")
         if list(self.grid) != sorted(self.grid):
             raise ValueError("grid must be sorted ascending")
+        if len(set(self.grid) | {0.0}) < 3:
+            raise ValueError(f"grid needs at least 3 points once 0 is added, got {self.grid!r}")
         if not 0.0 < self.tolerance:
             raise ValueError("tolerance must be positive")
         if self.max_refine_evals < 0:
@@ -187,24 +188,23 @@ def search_scale(f, grid, maximize: bool = False, tolerance: float = 1e-4,
 def tune(
     train_corpus: ParallelCorpus,
     dev: DevSet,
-    strategy: AddingStrategy,
     objective: Objective,
+    train_config: TrainConfig,
     tune_config: TuneConfig | None = None,
-    train_config: TrainConfig | None = None,
     tables: dict[float, TranslationTable] | None = None,
 ) -> TuneResult:
     """Pick the scale lambda optimizing the objective on development data.
 
-    Each candidate lambda triggers a full retrain on the training corpus;
+    Each candidate lambda triggers a full retrain on the training corpus
+    with ``train_config`` at that lambda, its adding strategy included;
     lambda = 0 is always among the candidates, so the tuned result is
     never worse on the development data than the unsmoothed baseline.
 
     ``tables`` optionally maps lambda to a table already trained on this
-    corpus with this strategy and train config; a candidate found there is
-    not retrained, and every retrain is stored into it.
+    corpus with this train config; a candidate found there is not
+    retrained, and every retrain is stored into it.
     """
     tune_config = tune_config or TuneConfig()
-    base = train_config or TrainConfig()
     if objective.requires_annotation and not dev.annotated:
         raise ValueError(f"objective {objective.name!r} needs an annotated development set")
     grid = sorted(set(tune_config.grid) | {0.0})
@@ -212,7 +212,7 @@ def tune(
     def score(lam: float) -> float:
         table = tables.get(lam) if tables is not None else None
         if table is None:
-            table = train(train_corpus, replace(base, lam=lam, strategy=strategy)).table
+            table = train(train_corpus, replace(train_config, lam=lam)).table
             if tables is not None:
                 tables[lam] = table
         return objective.evaluate(dev, table)

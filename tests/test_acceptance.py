@@ -222,8 +222,8 @@ def test_garbage_collector_mitigation():
     assert baseline_stolen > 0  # the construction must exhibit the effect
 
     strategy = make_strategy("add-one", occurrence_stats(corpus))
-    result = tune(corpus, dev, strategy, Objective("smoothed-error-count"),
-                  TuneConfig(), TrainConfig(iterations=10))
+    result = tune(corpus, dev, Objective("smoothed-error-count"),
+                  TrainConfig(iterations=10, strategy=strategy), TuneConfig())
     tuned = train(corpus, TrainConfig(10, result.lambda_star, strategy)).table
     tuned_alignment = viterbi_align(singleton_pair, tuned)
     tuned_errors = alignment_error_count(dev, tuned)

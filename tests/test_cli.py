@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import pytest
 
@@ -225,8 +226,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["tune", "experiment"])
     @pytest.mark.parametrize("flags", [["--alpha", "0.5"], ["--iters", "0"], ["--grid", "0,1,inf"],
-                                       ["--dev-fraction", "0"]],
-                             ids=["alpha", "iters", "grid", "dev-fraction"])
+                                       ["--grid", "0,1"], ["--dev-fraction", "0"]],
+                             ids=["alpha", "iters", "grid", "grid-points", "dev-fraction"])
     def test_bad_setting_rejected_before_any_file_is_read(self, tmp_path, command, flags):
         # a missing file exits 2, so exit 1 shows the setting was checked first
         missing = str(tmp_path / "missing.txt")
@@ -394,3 +395,60 @@ class TestInputBytes:
         ann.write_text("# only a comment\n", encoding="utf-8")
         assert main(["eval", "-s", src, "-t", tgt, "-m", model, "-a", str(ann)]) == 2
         assert f"{ann}: no alignment records" in capsys.readouterr().err
+
+    def test_words_starting_with_hash_survive_the_round_trip(self, tmp_path, capsys):
+        from alignsmooth import TrainConfig, load_parallel_corpus, train
+
+        src, tgt = self.files(tmp_path, b"#a b\n# #x:\nb\n", b"x y\nz w\ny\n")
+        model = str(tmp_path / "model.tsv")
+        assert main(["train", "-s", src, "-t", tgt, "--iters", "3", "-o", model]) == 0
+        trained = train(load_parallel_corpus(src, tgt), TrainConfig(3)).table
+        loaded, _ = read_table(model)
+        assert sorted(loaded.source_vocab.words) == sorted(trained.source_vocab.words)
+        for e_word in trained.source_vocab.words:
+            for f_word in trained.target_vocab.words:
+                assert loaded.prob(loaded.source_vocab.get(e_word), loaded.target_vocab.get(f_word)) == (
+                    trained.prob(trained.source_vocab.get(e_word), trained.target_vocab.get(f_word)))
+        capsys.readouterr()
+        assert main(["align", "-s", src, "-t", tgt, "-m", model]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_cut_model_exits_two(self, tmp_path, capsys):
+        src, tgt, model = self.toy_model(tmp_path)
+        model, ann = pathlib.Path(model), toy_paths()[2]
+        lines = model.read_text(encoding="utf-8").splitlines(keepends=True)
+        model.write_text("".join(lines[:150]), encoding="utf-8")
+        assert main(["eval", "-s", src, "-t", tgt, "-m", str(model), "-a", ann]) == 2
+        assert f"{model}: source_vocab_size is 19" in capsys.readouterr().err
+
+    def test_row_off_mass_exits_two(self, tmp_path, capsys):
+        src, tgt, model = self.toy_model(tmp_path)
+        model, ann = pathlib.Path(model), toy_paths()[2]
+        lines = model.read_text(encoding="utf-8").splitlines(keepends=True)
+        k, (word, target, value) = next(
+            (k, line.rstrip("\n").split("\t")) for k, line in enumerate(lines)
+            if not line.startswith("#") and float(line.split("\t")[2]) >= 0.1
+        )
+        lines[k] = f"{word}\t{target}\t{float(value) - 0.1!r}\n"
+        model.write_text("".join(lines), encoding="utf-8")
+        assert main(["eval", "-s", src, "-t", tgt, "-m", str(model), "-a", ann]) == 2
+        err = capsys.readouterr().err
+        head = f"{model}: row {word!r} sums to "
+        assert head in err
+        assert float(err.split(head)[1].split(",")[0]) == pytest.approx(0.9, abs=1e-12)
+
+    def test_non_integer_size_exits_two(self, tmp_path, capsys):
+        src, tgt, model = self.toy_model(tmp_path)
+        model = pathlib.Path(model)
+        text = model.read_text(encoding="utf-8").replace("# target_vocab_size: ", "# target_vocab_size: x", 1)
+        model.write_text(text, encoding="utf-8")
+        assert main(["align", "-s", src, "-t", tgt, "-m", str(model)]) == 2
+        assert f"{model}: target_vocab_size 'x" in capsys.readouterr().err
+
+    def test_line_with_a_tab_and_other_field_counts_is_rejected(self, tmp_path, capsys):
+        src, tgt = self.files(tmp_path, b"a\n", b"x\n")
+        model = tmp_path / "model.tsv"
+        for text in ("# note\twith a tab\na\tx\t1.0\n", "a\tx\t1.0\nloose words\n"):
+            model.write_text(text, encoding="utf-8")
+            assert main(["align", "-s", src, "-t", tgt, "-m", str(model)]) == 2
+            assert "expected e<TAB>f<TAB>prob" in capsys.readouterr().err

@@ -74,8 +74,8 @@ def test_cells_equal_uncached_tuning(spec):
         else:
             tune_corpus, dev = train_part, DevSet.unannotated(dev_part.pairs)
         strategy = make_strategy(cell.strategy, occurrence_stats(tune_corpus))
-        result = tune(tune_corpus, dev, strategy, objective, spec.tune_config,
-                      TrainConfig(ITERATIONS))
+        result = tune(tune_corpus, dev, objective, TrainConfig(ITERATIONS, strategy=strategy),
+                      spec.tune_config)
         final = make_strategy(cell.strategy, occurrence_stats(corpus))
         table = train(corpus, TrainConfig(ITERATIONS, result.lambda_star, final)).table
         report = evaluate_corpus(table, corpus, test_annotation)

@@ -202,7 +202,7 @@ class TestModelFile:
         corpus = t1_corpus()
         table = train(corpus, TrainConfig(2, 1.0, AddOne())).table
         path = tmp_path / "model.tsv"
-        write_table(table, path)
+        write_table(table, path, iterations=2, strategy="add-one", lam=1.0)
         loaded, _ = read_table(path)
         # every pair had nonzero probability, so the reload covers all of them
         for e in range(len(corpus.source_vocab)):
@@ -212,7 +212,7 @@ class TestModelFile:
         corpus = t1_corpus()
         table = train(corpus, TrainConfig(iterations=1)).table
         path = tmp_path / "model.tsv"
-        write_table(table, path)
+        write_table(table, path, iterations=1, strategy="none", lam=0.0)
         loaded, _ = read_table(path)
         assert loaded.source_vocab.word(0) == NULL_TOKEN
 
@@ -222,7 +222,7 @@ class TestModelFile:
         corpus = t1_corpus()
         table = train(corpus, TrainConfig(2, 1.0, AddOne())).table
         path = tmp_path / "model.tsv"
-        write_table(table, path)
+        write_table(table, path, iterations=2, strategy="add-one", lam=1.0)
         lines = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
         assert sum(1 for line in lines if line.split("\t")[1] == "") == len(table.row_defaults)
         assert len(lines) == len(table.row_defaults) + sum(len(row) for row in table.rows.values())
@@ -257,7 +257,7 @@ class TestModelFile:
 
         table = train(t1_corpus(), TrainConfig(2, 0.5, AddOne())).table
         path = tmp_path / "model.tsv"
-        write_table(table, path)
+        write_table(table, path, iterations=2, strategy="add-one", lam=0.5)
         older = tmp_path / "older.tsv"
         older.write_text(f"# epsilon: {value}\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
         (loaded, _), (old, metadata) = read_table(path), read_table(older)
@@ -273,12 +273,28 @@ class TestModelFile:
         part = corpus.subset([0])
         table = train(part, TrainConfig(2, 0.5, AddOne())).table
         path = tmp_path / "model.tsv"
-        write_table(table, path)
+        write_table(table, path, iterations=2, strategy="add-one", lam=0.5)
         loaded, _ = read_table(path)
         assert len(loaded.target_vocab) == len(corpus.target_vocab)
         for f_word in corpus.target_vocab.words:
             f = corpus.target_vocab.words.index(f_word)
             assert loaded.prob(0, loaded.target_vocab.words.index(f_word)) == table.prob(0, f)
+
+    def test_unsmoothed_model_names_every_target_word(self, tmp_path):
+        # "y" occurs only outside the slice, so no row of the table names it
+        part = corpus_from_tokens([["a"], ["a"]], [["x"], ["y"]]).subset([0])
+        table = train(part, TrainConfig(iterations=2)).table
+        assert table.row_defaults == {}
+        path = tmp_path / "model.tsv"
+        write_table(table, path, iterations=2, strategy="none", lam=0.0)
+        assert f"{NULL_TOKEN}\ty\t0.0\n" in path.read_text(encoding="utf-8")
+        loaded, metadata = read_table(path)
+        assert loaded.target_vocab.words == ("x", "y")
+        assert metadata["target_vocab_size"] == "2"
+        for e_word in part.source_vocab.words:
+            for f, f_word in enumerate(part.target_vocab.words):
+                got = loaded.prob(loaded.source_vocab.get(e_word), loaded.target_vocab.get(f_word))
+                assert got == table.prob(part.source_vocab.get(e_word), f)
 
     @pytest.mark.parametrize("text,message", [
         ("# epsilon: 1.0\na\tx\tnan\n", "line 2: bad probability 'nan'"),
@@ -318,7 +334,7 @@ class TestModelFile:
         corpus = t1_corpus()
         table = train(corpus, TrainConfig(iterations=2)).table
         path = tmp_path / "model.tsv"
-        write_table(table, path)
+        write_table(table, path, iterations=2, strategy="none", lam=0.0)
         before = path.read_bytes()
         plain = tmp_path / "plain.txt"
         plain.write_text("", encoding="utf-8")
@@ -328,6 +344,6 @@ class TestModelFile:
         broken = TranslationTable({**table.rows, 1: {**table.rows[1], 99: 0.5}}, table.row_defaults,
                                   corpus.source_vocab, corpus.target_vocab)
         with pytest.raises(UnknownTokenError):
-            write_table(broken, path)
+            write_table(broken, path, iterations=2, strategy="none", lam=0.0)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.tsv"]

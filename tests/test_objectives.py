@@ -174,6 +174,17 @@ class TestSmoothedErrorCount:
             with pytest.raises(ValueError, match="alpha"):
                 Objective("smoothed-error-count", bad)
 
+    def test_zero_probability_link_weighs_nothing(self):
+        # posterior (1/3, 2/3, 0): the link to "v" scores zero under the table
+        corpus = corpus_from_tokens([["w", "v"]], [["x"]])
+        sv, tv = corpus.source_vocab, corpus.target_vocab
+        x = tv.words.index("x")
+        table = TranslationTable({0: {x: 0.3}, sv.words.index("w"): {x: 0.6}}, {}, sv, tv)
+        to_w = DevSet(pairs=tuple(corpus.pairs), alignments=((1,),))
+        to_v = DevSet(pairs=tuple(corpus.pairs), alignments=((2,),))
+        assert smoothed_error_count(to_w, table, alpha=10.0) == pytest.approx(1 / 1025, rel=1e-12)
+        assert smoothed_error_count(to_v, table, alpha=10.0) == 1.0
+
     def test_large_alpha_stays_finite(self):
         dev, table = single_position_devset(0.999, 0.001)
         value = smoothed_error_count(dev, table, alpha=5000.0)

@@ -36,7 +36,7 @@ def test_write_then_read_is_exact(tmp_path_factory, seed, name, lam, sliced):
     corpus, result = trained(seed, name, lam, sliced=sliced)
     table = result.table
     path = tmp_path_factory.mktemp("model") / "model.tsv"
-    write_table(table, path)
+    write_table(table, path, iterations=3, strategy=name, lam=lam)
     loaded, _ = read_table(path)
     sv, tv = corpus.source_vocab, corpus.target_vocab
     for e_word in sv.words:

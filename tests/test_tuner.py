@@ -144,6 +144,12 @@ class TestTuneConfig:
             with pytest.raises(ValueError, match="finite"):
                 TuneConfig(grid=(0.0, 1.0, bad))
 
+    def test_grid_needs_three_points_once_zero_is_added(self):
+        for grid in ((0.0, 0.0, 1.0), (1.0,), (0.0, 1.0)):
+            with pytest.raises(ValueError, match="at least 3 points"):
+                TuneConfig(grid=grid)
+        assert TuneConfig(grid=(0.5, 1.0)).grid == (0.5, 1.0)
+
 
 def small_tune_config():
     return TuneConfig(grid=(0.0, 0.1, 0.5, 1.0, 3.0), tolerance=1e-3, max_refine_evals=25)
@@ -155,8 +161,8 @@ class TestTune:
         dev = DevSet(pairs=tuple(corpus.pairs), alignments=((1, 2), (1, 2)))
         strategy = make_strategy("add-one", occurrence_stats(corpus))
         result = tune(
-            corpus, dev, strategy, Objective("error-count"),
-            small_tune_config(), TrainConfig(iterations=3),
+            corpus, dev, Objective("error-count"),
+            TrainConfig(iterations=3, strategy=strategy), small_tune_config(),
         )
         at_zero = dict(result.evaluations)[0.0]
         assert result.objective_value <= at_zero
@@ -165,8 +171,8 @@ class TestTune:
         corpus = t1_corpus()
         dev = DevSet(pairs=tuple(corpus.pairs), alignments=((1, 2), (1, 2)))
         strategy = make_strategy("add-one", occurrence_stats(corpus))
-        args = (corpus, dev, strategy, Objective("smoothed-error-count"),
-                small_tune_config(), TrainConfig(iterations=3))
+        args = (corpus, dev, Objective("smoothed-error-count"),
+                TrainConfig(iterations=3, strategy=strategy), small_tune_config())
         assert tune(*args) == tune(*args)
 
     def test_lambda_star_in_trace(self):
@@ -174,8 +180,8 @@ class TestTune:
         dev = DevSet.unannotated(corpus.pairs)
         strategy = make_strategy("add-one", occurrence_stats(corpus))
         result = tune(
-            corpus, dev, strategy, Objective("ml-unannotated"),
-            small_tune_config(), TrainConfig(iterations=3),
+            corpus, dev, Objective("ml-unannotated"),
+            TrainConfig(iterations=3, strategy=strategy), small_tune_config(),
         )
         assert result.lambda_star in {lam for lam, _ in result.evaluations}
 
@@ -185,8 +191,8 @@ class TestTune:
         strategy = make_strategy("add-one", occurrence_stats(corpus))
         config = TuneConfig(grid=(0.5, 1.0, 2.0), tolerance=1e-3, max_refine_evals=10)
         result = tune(
-            corpus, dev, strategy, Objective("ml-unannotated"),
-            config, TrainConfig(iterations=2),
+            corpus, dev, Objective("ml-unannotated"),
+            TrainConfig(iterations=2, strategy=strategy), config,
         )
         assert 0.0 in {lam for lam, _ in result.evaluations}
 
@@ -194,8 +200,14 @@ class TestTune:
         corpus = t1_corpus()
         strategy = make_strategy("add-one", occurrence_stats(corpus))
         with pytest.raises(ValueError):
-            tune(corpus, DevSet.unannotated(corpus.pairs), strategy,
-                 Objective("error-count"), small_tune_config())
+            tune(corpus, DevSet.unannotated(corpus.pairs), Objective("error-count"),
+                 TrainConfig(strategy=strategy), small_tune_config())
+
+    def test_positive_lambda_needs_a_strategy_in_the_config(self):
+        corpus = t1_corpus()
+        dev = DevSet.unannotated(corpus.pairs)
+        with pytest.raises(ValueError, match="a positive lambda needs an adding strategy"):
+            tune(corpus, dev, Objective("ml-unannotated"), TrainConfig(iterations=2), small_tune_config())
 
     def test_all_minus_inf_reports_partial_trace(self):
         # gold links a pair of words that never co-occur; add-dice keeps that
@@ -208,8 +220,8 @@ class TestTune:
         impossible = DevSet(pairs=(impossible_pair,), alignments=((1,),))
         strategy = make_strategy("add-dice", occurrence_stats(corpus))
         with pytest.raises(TuningError) as err:
-            tune(corpus, impossible, strategy, Objective("ml-annotated"),
-                 small_tune_config(), TrainConfig(iterations=2))
+            tune(corpus, impossible, Objective("ml-annotated"),
+                 TrainConfig(iterations=2, strategy=strategy), small_tune_config())
         assert len(err.value.evaluations) >= 1
 
     def test_tables_fill_then_replace_retrains(self, monkeypatch):
@@ -218,8 +230,8 @@ class TestTune:
         corpus = t1_corpus()
         dev = DevSet.unannotated(corpus.pairs)
         strategy = make_strategy("add-one", occurrence_stats(corpus))
-        args = (corpus, dev, strategy, Objective("ml-unannotated"),
-                small_tune_config(), TrainConfig(iterations=3))
+        args = (corpus, dev, Objective("ml-unannotated"),
+                TrainConfig(iterations=3, strategy=strategy), small_tune_config())
         plain = tune(*args)
         tables = {}
         assert tune(*args, tables) == plain
