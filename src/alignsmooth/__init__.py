@@ -51,6 +51,7 @@ from .smoothing import (
 )
 from .trainer import (
     TrainConfig,
+    TrainingSession,
     TrainResult,
     train,
 )

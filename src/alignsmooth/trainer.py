@@ -9,6 +9,10 @@ plus sparse extra weights; the row sum is derived from those two over the
 whole target vocabulary.  With lambda = 0 the same step runs with g = 0,
 the base strategy, so the unsmoothed relative-frequency baseline falls out
 of the same code path bit for bit.
+
+Every retrain starts from the same uniform table (Brown et al. 1993), so
+the compiled corpus and the first E-step depend on neither lambda nor the
+strategy; a ``TrainingSession`` keeps both for all retrains of one corpus.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from .corpus import NULL_ID, ParallelCorpus
 from .errors import UnknownTokenError
-from .model import TranslationTable, float_sum
+from .model import TranslationTable
 from .smoothing import AddingStrategy
 
 
@@ -31,8 +36,8 @@ class TrainConfig:
     strategy: AddingStrategy | None = None
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        if type(self.iterations) is not int or self.iterations < 1:
+            raise ValueError(f"iterations must be an integer of at least 1, got {self.iterations!r}")
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"lambda must be finite and non-negative, got {self.lam!r}")
         if self.lam > 0.0 and self.strategy is None:
@@ -103,7 +108,9 @@ def _estep(slots: SlotCorpus, probs: list[float]) -> tuple[list[float], list[flo
         degenerate = False
         for ids in zip(*[iter(links)] * width):
             values = [probs[s] for s in ids]
-            denom = float_sum(values)
+            denom = 0.0  # a left fold from 0.0, the same bits on every Python
+            for v in values:
+                denom += v
             if denom > 0.0:
                 pair_ll += log(denom)
             else:  # 1.0 * (1.0 / width) is the share 1/(l+1) exactly
@@ -118,10 +125,30 @@ def _estep(slots: SlotCorpus, probs: list[float]) -> tuple[list[float], list[flo
     return counts, totals, log_likelihood
 
 
+def compile_strategy(slots: SlotCorpus, strategy: AddingStrategy) -> list[tuple]:
+    """Lay an adding strategy over the slots, one entry per source row.
+
+    Each entry is the row's base weight, its weight sum over the whole
+    target vocabulary, and, when the row has extra weights, their values
+    on its slots and those of the targets outside its slots (else None).
+    """
+    compiled = []
+    for e, row in enumerate(slots.rows):
+        base, extras = strategy.base_weight(e), strategy.extra_weights(e)
+        weight_sum = base * slots.target_size + math.fsum(extras.values())
+        if extras:
+            outside = {f: g for f, g in extras.items() if f not in row}
+            compiled.append((base, weight_sum, [extras.get(f, 0.0) for f in row], outside))
+        else:
+            compiled.append((base, weight_sum, None, None))
+    return compiled
+
+
 def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float],
-                      strategy: AddingStrategy, lam: float) -> tuple[list[float], dict, dict]:
+                      weights: list[tuple], lam: float) -> tuple[list[float], dict, dict]:
     """Re-estimate t from slot counts plus lambda-scaled pseudo-counts.
 
+    ``weights`` is the adding strategy as ``compile_strategy`` lays it out.
     Returns the new probability of every slot, the per-row defaults that
     cover targets outside a row's slots, and pseudo-count entries that
     fall outside the corpus support.  Rows whose denominator is zero get
@@ -133,23 +160,19 @@ def maximize_smoothed(slots: SlotCorpus, counts: list[float], totals: list[float
     defaults: dict[int, float] = {}
     outside: dict[int, dict[int, float]] = {}
     end = 0
-    for e, row in enumerate(slots.rows):
+    for e, (row, (base, weight_sum, slot_g, outside_g)) in enumerate(zip(slots.rows, weights)):
         start, end = end, end + len(row)
-        base, extras = strategy.base_weight(e), strategy.extra_weights(e)
-        denom = totals[e] + lam * (base * slots.target_size + math.fsum(extras.values()))
+        denom = totals[e] + lam * weight_sum
         if denom <= 0.0:
             defaults[e] = uniform
             probs += [uniform] * len(row)
             continue
         added = lam * base
-        if extras:
-            probs += [
-                (c + added + lam * extras.get(f, 0.0)) / denom
-                for f, c in zip(row, counts[start:end])
-            ]
-            outside[e] = {f: (added + lam * g) / denom for f, g in extras.items() if f not in row}
-        else:  # c + 0.0 == c, so an unsmoothed row is c / total exactly
+        if slot_g is None:  # c + 0.0 == c, so an unsmoothed row is c / total exactly
             probs += [(c + added) / denom for c in counts[start:end]]
+        else:
+            probs += [(c + added + lam * g) / denom for c, g in zip(counts[start:end], slot_g)]
+            outside[e] = {f: (added + lam * g) / denom for f, g in outside_g.items()}
         if added > 0.0:
             defaults[e] = added / denom
     return probs, defaults, outside
@@ -170,20 +193,46 @@ def build_table(corpus: ParallelCorpus, slots: SlotCorpus, estimate: tuple) -> T
     return TranslationTable(rows, defaults, corpus.source_vocab, corpus.target_vocab)
 
 
-def train(corpus: ParallelCorpus, config: TrainConfig | None = None) -> TrainResult:
+class TrainingSession:
+    """The EM work on one corpus that no lambda and no adding strategy changes.
+
+    That is the compiled corpus and the first E-step, from the uniform
+    table every retrain starts at.  Both are made at the first ``train``
+    call that uses the session, and kept until the session is dropped.
+    """
+
+    def __init__(self, corpus: ParallelCorpus):
+        self.corpus = corpus
+
+    @cached_property
+    def start(self) -> tuple[SlotCorpus, tuple[list[float], list[float], float]]:
+        """The compiled corpus and its E-step from the uniform table."""
+        slots = compile_corpus(self.corpus)
+        return slots, _estep(slots, [1.0 / slots.target_size] * slots.slot_count)
+
+
+def train(corpus: ParallelCorpus, config: TrainConfig | None = None,
+          session: TrainingSession | None = None) -> TrainResult:
     """Run EM from the uniform table, smoothing every maximization step.
 
     The trace holds one training log-likelihood per iteration, evaluated
     under the table that iteration started from, with P(m|e) = 1.
+
+    Retrains of one corpus may share a ``session`` made for it; they then
+    compile the corpus and run the first E-step only once, with the same
+    results bit for bit.  Without one, ``train`` uses a session of its own
+    that is dropped once started, so no count outlives its iteration.
     """
     config = config or TrainConfig()
+    if session is not None and session.corpus is not corpus:
+        raise ValueError("the training session belongs to another corpus")
     strategy = config.strategy if config.lam > 0.0 else AddingStrategy()
-    slots = compile_corpus(corpus)
-    probs = [1.0 / slots.target_size] * slots.slot_count
-    trace = []
-    for _ in range(config.iterations):
-        counts, totals, log_likelihood = _estep(slots, probs)
+    slots, (counts, totals, log_likelihood) = (session or TrainingSession(corpus)).start
+    weights = compile_strategy(slots, strategy)
+    trace = [log_likelihood]
+    estimate = maximize_smoothed(slots, counts, totals, weights, config.lam)
+    for _ in range(config.iterations - 1):
+        counts, totals, log_likelihood = _estep(slots, estimate[0])
         trace.append(log_likelihood)
-        estimate = maximize_smoothed(slots, counts, totals, strategy, config.lam)
-        probs = estimate[0]
+        estimate = maximize_smoothed(slots, counts, totals, weights, config.lam)
     return TrainResult(build_table(corpus, slots, estimate), tuple(trace))

@@ -22,7 +22,7 @@ from .corpus import ParallelCorpus
 from .errors import TuningError
 from .model import TranslationTable
 from .objectives import DevSet, Objective
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, TrainingSession, train
 
 # (3 - sqrt(5)) / 2, the golden-section step fraction
 _GOLDEN = 0.3819660112501051
@@ -45,8 +45,8 @@ class TuneConfig:
             raise ValueError(f"grid needs at least 3 points once 0 is added, got {self.grid!r}")
         if not 0.0 < self.tolerance:
             raise ValueError("tolerance must be positive")
-        if self.max_refine_evals < 0:
-            raise ValueError("max_refine_evals must be non-negative")
+        if type(self.max_refine_evals) is not int or self.max_refine_evals < 0:
+            raise ValueError(f"max_refine_evals must be a non-negative integer, got {self.max_refine_evals!r}")
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,9 @@ def tune(
     lambda = 0 is always among the candidates, so the tuned result is
     never worse on the development data than the unsmoothed baseline.
 
+    The retrains share one ``TrainingSession``: the corpus is compiled,
+    and the first E-step run, once per call rather than once per lambda.
+
     ``tables`` optionally maps lambda to a table already trained on this
     corpus with this train config; a candidate found there is not
     retrained, and every retrain is stored into it.
@@ -208,11 +211,12 @@ def tune(
     if objective.requires_annotation and not dev.annotated:
         raise ValueError(f"objective {objective.name!r} needs an annotated development set")
     grid = sorted(set(tune_config.grid) | {0.0})
+    session = TrainingSession(train_corpus)
 
     def score(lam: float) -> float:
         table = tables.get(lam) if tables is not None else None
         if table is None:
-            table = train(train_corpus, replace(train_config, lam=lam)).table
+            table = train(train_corpus, replace(train_config, lam=lam), session).table
             if tables is not None:
                 tables[lam] = table
         return objective.evaluate(dev, table)

@@ -6,7 +6,7 @@ import random
 from alignsmooth import NULL_ID, AnnotationEntry, TranslationTable, corpus_from_tokens, evaluate_corpus
 from alignsmooth.errors import UnknownTokenError
 from alignsmooth.model import float_sum
-from alignsmooth.trainer import _estep, build_table, compile_corpus, maximize_smoothed
+from alignsmooth.trainer import _estep, build_table, compile_corpus, compile_strategy, maximize_smoothed
 
 NULL = "<NULL>"
 
@@ -240,10 +240,11 @@ def dict_train(corpus, config):
 def kernel_steps(corpus, strategy, lam, iterations):
     """Run the slot kernel step by step; yields (E-step totals, table after the M-step)."""
     slots = compile_corpus(corpus)
+    weights = compile_strategy(slots, strategy)
     probs = [1.0 / len(corpus.target_vocab)] * slots.slot_count
     for _ in range(iterations):
         counts, totals, _ = _estep(slots, probs)
-        estimate = maximize_smoothed(slots, counts, totals, strategy, lam)
+        estimate = maximize_smoothed(slots, counts, totals, weights, lam)
         probs = estimate[0]
         yield totals, build_table(corpus, slots, estimate)
 
@@ -301,3 +302,23 @@ def prob_aligned_log_likelihood(pairs, alignments, table):
                 return float("-inf")
             total += math.log(t)
     return total
+
+
+def log_posterior(corpus, table, strategy, lam):
+    """What smoothed EM ascends: log P(corpus | t) + lam * sum over e, f of g(e, f) log t(f|e).
+
+    The smoothed M-step is the MAP step under a Dirichlet prior with
+    exponents lam * g(e, f) + 1 (Moore 2004), so by Dempster, Laird & Rubin
+    (1977) no iteration lowers this.  The likelihood has P(m|e) = 1, as the
+    training trace does; the prior term runs over both full vocabularies.
+    """
+    total = math.fsum(prob_pair_log_likelihood(pair, table) for pair in corpus.pairs)
+    if lam == 0.0:
+        return total
+    prior = []
+    for e in range(len(corpus.source_vocab)):
+        for f in range(len(corpus.target_vocab)):
+            g = weight(strategy, e, f)
+            if g > 0.0:
+                prior.append(g * math.log(table.prob(e, f)))
+    return total + lam * math.fsum(prior)

@@ -42,11 +42,11 @@ def test_each_key_trained_once(spec, monkeypatch):
     keys = []
     corpora = []  # keeps every corpus alive, so its id() stays unique
 
-    def counting_train(corpus, config):
+    def counting_train(corpus, config, session=None):
         corpora.append(corpus)
         strategy = config.strategy.name if config.lam > 0 else None  # lambda = 0 ignores it
         keys.append((id(corpus), strategy, config.lam))
-        return train(corpus, config)
+        return train(corpus, config, session)
 
     monkeypatch.setattr(experiment, "train", counting_train)
     monkeypatch.setattr(tuner, "train", counting_train)
@@ -102,3 +102,10 @@ def test_unknown_name_rejected_before_any_file_is_read(tmp_path, field, name):
     missing = str(tmp_path / "missing.txt")
     with pytest.raises(ValueError, match=name):
         ExperimentSpec(missing, missing, missing, **{field: (name,)})
+
+
+@pytest.mark.parametrize("iterations", [2.5, True])
+def test_non_integer_iterations_rejected_before_any_file_is_read(tmp_path, iterations):
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(ValueError, match="iterations must be an integer"):
+        ExperimentSpec(missing, missing, missing, iterations=iterations)

@@ -11,6 +11,7 @@ from alignsmooth import (
     UNKNOWN_ID,
     DevSet,
     TrainConfig,
+    TrainingSession,
     TranslationTable,
     UnknownTokenError,
     aligned_log_likelihood,
@@ -48,9 +49,9 @@ def full_probs(table, corpus):
     ]
 
 
-def assert_same_training(corpus, strategy, lam, iterations=4):
+def assert_same_training(corpus, strategy, lam, iterations=4, session=None):
     config = TrainConfig(iterations, lam, strategy)
-    result = train(corpus, config)
+    result = train(corpus, config, session)
     oracle, trace = dict_train(corpus, config)
     assert result.log_likelihood_trace == trace
     assert full_probs(result.table, corpus) == full_probs(oracle, corpus)
@@ -88,6 +89,45 @@ def test_toy_corpus(name):
     strategy = make_strategy(name, occurrence_stats(corpus))
     for lam in LAMBDAS:
         assert_same_training(corpus, strategy, lam, iterations=10)
+
+
+# out of order, with lambda = 0 after a positive lambda
+SHUFFLED_LAMBDAS = (5.0, 0.0, 100.0, 1e-4, 0.0, 0.7)
+
+
+def assert_same_training_on_one_session(corpus, stats, iterations=4):
+    session = TrainingSession(corpus)
+    for name in STRATEGY_NAMES:  # strategies switched on one session
+        strategy = make_strategy(name, stats)
+        for lam in SHUFFLED_LAMBDAS:
+            assert_same_training(corpus, strategy, lam, iterations, session)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_session_random_corpora(seed):
+    corpus = random_corpus(seed + 40, max_pairs=25)
+    assert_same_training_on_one_session(corpus, occurrence_stats(corpus))
+
+
+@pytest.mark.parametrize("stats_from", ["slice", "full"])
+def test_shared_session_subset_slices(stats_from):
+    full = random_corpus(7, max_pairs=40, source_types=14, target_types=15)
+    part = full.subset(range(0, len(full.pairs), 3))
+    assert_same_training_on_one_session(part, occurrence_stats(part if stats_from == "slice" else full))
+
+
+def test_shared_session_toy_corpus():
+    corpus = toy_corpus()
+    assert_same_training_on_one_session(corpus, occurrence_stats(corpus), iterations=10)
+
+
+def test_session_of_another_corpus_is_rejected():
+    corpus = random_corpus(3, max_pairs=10)
+    session = TrainingSession(corpus)
+    for other in (random_corpus(4, max_pairs=10), corpus.subset(range(len(corpus.pairs)))):
+        with pytest.raises(ValueError, match="another corpus"):
+            train(other, TrainConfig(2), session)
+    assert train(corpus, TrainConfig(2), session) == train(corpus, TrainConfig(2))
 
 
 def test_zero_denominator_estep_matches_oracle():

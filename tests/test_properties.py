@@ -1,5 +1,8 @@
 """Property tests over random corpora: file round trip, normalization, lambda=0, EM ascent."""
 
+import math
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +16,7 @@ from alignsmooth import (
     write_table,
 )
 
-from helpers import random_corpus, row_total
+from helpers import kernel_steps, log_posterior, random_corpus, row_total, uniform_init, weight
 
 SETTINGS = settings(derandomize=True, max_examples=15, deadline=None)
 
@@ -22,11 +25,15 @@ names = st.sampled_from(STRATEGY_NAMES)
 lambdas = st.sampled_from([0.0, 1e-4, 0.3, 2.0, 50.0]) | st.floats(0.0, 100.0)
 
 
-def trained(seed, name, lam, iterations=3, sliced=False):
+def corpus_and_strategy(seed, name, sliced):
     corpus = random_corpus(seed, max_pairs=12)
     if sliced:
         corpus = corpus.subset(range(0, len(corpus.pairs), 2))
-    strategy = make_strategy(name, occurrence_stats(corpus))
+    return corpus, make_strategy(name, occurrence_stats(corpus))
+
+
+def trained(seed, name, lam, iterations=3, sliced=False):
+    corpus, strategy = corpus_and_strategy(seed, name, sliced)
     return corpus, train(corpus, TrainConfig(iterations, lam, strategy))
 
 
@@ -71,3 +78,34 @@ def test_unsmoothed_log_likelihood_never_decreases(seed):
     trace = train(random_corpus(seed, max_pairs=15), TrainConfig(8)).log_likelihood_trace
     for before, after in zip(trace, trace[1:]):
         assert after >= before - 1e-9
+
+
+@SETTINGS
+@given(seeds, names, st.sampled_from([0.0, 1e-3, 0.5, 100.0]), st.booleans())
+def test_smoothed_log_posterior_never_decreases(seed, name, lam, sliced):
+    # catches the E-step leaving NULL out of its denominator, which the large-lambda limit misses
+    corpus, strategy = corpus_and_strategy(seed, name, sliced)
+    tables = [uniform_init(corpus.source_vocab, corpus.target_vocab)]
+    tables += [table for _, table in kernel_steps(corpus, strategy, lam, 6)]
+    values = [log_posterior(corpus, table, strategy, lam) for table in tables]
+    for before, after in zip(values, values[1:]):
+        assert after >= before - 1e-9 * abs(before)
+
+
+@SETTINGS
+@given(seeds, names, st.booleans())
+def test_huge_lambda_rows_tend_to_normalized_g(seed, name, sliced):
+    # catches add-dice's per-slot g shifted by one target id in the compiled strategy
+    lam = 1e12
+    corpus, strategy = corpus_and_strategy(seed, name, sliced)
+    *_, (totals, table) = kernel_steps(corpus, strategy, lam, 3)
+    targets = range(len(corpus.target_vocab))
+    for e in range(len(corpus.source_vocab)):
+        g = [weight(strategy, e, f) for f in targets]
+        g_sum = math.fsum(g)
+        if g_sum == 0.0:  # no pseudo-counts: the row is its counts alone
+            continue
+        # |t - g/G| = |c G - g C| / (G (C + lam G)) <= C / (lam G) for the row's count mass C
+        bound = totals[e] / (lam * g_sum) + 8 * sys.float_info.epsilon
+        for f in targets:
+            assert abs(table.prob(e, f) - g[f] / g_sum) <= bound

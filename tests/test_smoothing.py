@@ -12,7 +12,7 @@ from alignsmooth import (
     train,
 )
 from alignsmooth.corpus import NULL_ID
-from alignsmooth.trainer import build_table, compile_corpus, maximize_smoothed
+from alignsmooth.trainer import build_table, compile_corpus, compile_strategy, maximize_smoothed
 
 from helpers import cooc_count, random_corpus, row_total, t1_corpus, weight
 
@@ -21,7 +21,7 @@ def mstep_row(corpus, strategy, e):
     """t(.|e) after one M-step on all-zero counts at lambda 1: g(e, f) over the derived row sum."""
     slots = compile_corpus(corpus)
     zeros = [0.0] * slots.slot_count, [0.0] * len(slots.rows)
-    table = build_table(corpus, slots, maximize_smoothed(slots, *zeros, strategy, 1.0))
+    table = build_table(corpus, slots, maximize_smoothed(slots, *zeros, compile_strategy(slots, strategy), 1.0))
     return [table.prob(e, f) for f in range(len(corpus.target_vocab))]
 
 

@@ -17,7 +17,7 @@ from alignsmooth import (
 )
 from alignsmooth.corpus import ParallelCorpus, SentencePair, Vocabulary
 from alignsmooth.data import toy_paths
-from alignsmooth.trainer import _estep, build_table, compile_corpus, maximize_smoothed
+from alignsmooth.trainer import _estep, build_table, compile_corpus, compile_strategy, maximize_smoothed
 
 from helpers import kernel_steps, random_corpus, reference_em, row_total, slot_count, t1_corpus, table_prob, NULL
 
@@ -112,7 +112,8 @@ class TestMaximizeSmoothed:
         for s in slots.rows[das].values():
             counts[s] = 0.0
         totals[das] = 0.0
-        table = build_table(t1, slots, maximize_smoothed(slots, counts, totals, AddingStrategy(), 0.0))
+        weights = compile_strategy(slots, AddingStrategy())
+        table = build_table(t1, slots, maximize_smoothed(slots, counts, totals, weights, 0.0))
         assert table.prob(das, 0) == pytest.approx(1 / 3)
         assert row_total(table, das) == pytest.approx(1.0, abs=1e-12)
 
@@ -188,6 +189,11 @@ class TestTrain:
                 TrainConfig(lam=bad, strategy=AddOne())
         with pytest.raises(ValueError, match="strategy"):
             TrainConfig(lam=0.5)
+
+    @pytest.mark.parametrize("iterations", [2.5, 3.0, True, False, "3", None])
+    def test_iterations_must_be_an_int(self, iterations):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            TrainConfig(iterations=iterations)
 
 
 def relabelled(corpus, seed):

@@ -12,11 +12,13 @@ from alignsmooth import (
     brent_minimize,
     corpus_from_tokens,
     grid_bracket,
+    load_parallel_corpus,
     make_strategy,
     occurrence_stats,
     search_scale,
     tune,
 )
+from alignsmooth.data import toy_paths
 
 from helpers import t1_corpus
 
@@ -150,6 +152,12 @@ class TestTuneConfig:
                 TuneConfig(grid=grid)
         assert TuneConfig(grid=(0.5, 1.0)).grid == (0.5, 1.0)
 
+    @pytest.mark.parametrize("max_refine_evals", [2.5, 10.0, True, False, "10", None])
+    def test_max_refine_evals_must_be_an_int(self, max_refine_evals):
+        with pytest.raises(ValueError, match="max_refine_evals must be a non-negative integer"):
+            TuneConfig(max_refine_evals=max_refine_evals)
+        assert TuneConfig(max_refine_evals=0).max_refine_evals == 0
+
 
 def small_tune_config():
     return TuneConfig(grid=(0.0, 0.1, 0.5, 1.0, 3.0), tolerance=1e-3, max_refine_evals=25)
@@ -242,3 +250,31 @@ class TestTune:
 
         monkeypatch.setattr(tuner, "train", no_training)
         assert tune(*args, tables) == plain
+
+
+def test_one_tune_runs_the_first_estep_once(monkeypatch):
+    import alignsmooth.trainer as trainer
+    import alignsmooth.tuner as tuner
+
+    src, tgt, _ = toy_paths()
+    corpus = load_parallel_corpus(src, tgt)
+    dev = DevSet.unannotated(corpus.pairs[:10])
+    iterations = 4
+    config = TrainConfig(iterations, strategy=make_strategy("add-dice", occurrence_stats(corpus)))
+    estep_calls, sessions = [], []
+
+    def counting_estep(*args):
+        estep_calls.append(1)
+        return real_estep(*args)
+
+    def recording_train(corpus, config, session=None):
+        sessions.append(session)
+        return real_train(corpus, config, session)
+
+    real_estep, real_train = trainer._estep, tuner.train
+    monkeypatch.setattr(trainer, "_estep", counting_estep)
+    monkeypatch.setattr(tuner, "train", recording_train)
+    result = tune(corpus, dev, Objective("ml-unannotated"), config, small_tune_config())
+    retrains = len(result.evaluations)
+    assert len(sessions) == retrains and len({id(s) for s in sessions}) == 1
+    assert len(estep_calls) == 1 + (iterations - 1) * retrains
