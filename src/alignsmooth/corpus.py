@@ -27,7 +27,10 @@ index; link positions keep the 1-based convention with 0 = NULL.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 from .errors import DataFormatError, UnknownTokenError
 
@@ -180,34 +183,44 @@ class OccurrenceStats:
     convention makes NULL co-occur with every target word of every pair.
     Co-occurrence is presence-based: a pair contributes at most 1 to
     ``cooc(e, f)`` no matter how often either word repeats inside it.
+
+    ``cooc`` maps e to ``{f: pairs}`` and is counted from ``pairs`` on its
+    first read, once per stats object, so a caller that never reads it
+    (add-one, add-source-count) never pays for it.
     """
 
     source_counts: list[int]
     target_counts: list[int]
-    cooc: dict[int, dict[int, int]]
+    pairs: list[SentencePair] = field(repr=False)
 
     def source_count(self, e: int) -> int:
         if not 0 <= e < len(self.source_counts):
             raise UnknownTokenError(f"no source token with id {e}")
         return self.source_counts[e]
 
+    @cached_property
+    def cooc(self) -> dict[int, dict[int, int]]:
+        # each row counts the target sets of its pairs, in corpus order: rows
+        # and their keys come out in first-appearance order
+        target_sets: dict[int, list[set[int]]] = {}
+        for pair in self.pairs:
+            targets = set(pair.target)
+            for e in set(pair.source) | {NULL_ID}:
+                target_sets.setdefault(e, []).append(targets)
+        return {e: dict(Counter(chain.from_iterable(sets))) for e, sets in target_sets.items()}
+
 
 def occurrence_stats(corpus: ParallelCorpus) -> OccurrenceStats:
+    """Token counts of the corpus; co-occurrence waits for its first read."""
     source_counts = [0] * len(corpus.source_vocab)
     target_counts = [0] * len(corpus.target_vocab)
-    cooc: dict[int, dict[int, int]] = {}
     for pair in corpus.pairs:
         for e in pair.source:
             source_counts[e] += 1
         for f in pair.target:
             target_counts[f] += 1
-        target_set = set(pair.target)
-        for e in set(pair.source) | {NULL_ID}:
-            row = cooc.setdefault(e, {})
-            for f in target_set:
-                row[f] = row.get(f, 0) + 1
     source_counts[NULL_ID] = len(corpus.pairs)
-    return OccurrenceStats(source_counts, target_counts, cooc)
+    return OccurrenceStats(source_counts, target_counts, corpus.pairs)
 
 
 @dataclass(frozen=True)

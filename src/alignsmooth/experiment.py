@@ -23,7 +23,7 @@ from .errors import DataFormatError, TuningError, UnknownTokenError
 from .evaluation import evaluate_corpus
 from .objectives import OBJECTIVE_NAMES, DevSet, Objective
 from .smoothing import STRATEGY_NAMES, make_strategy
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, TrainingSession, train
 from .tuner import TuneConfig, tune
 
 
@@ -52,6 +52,10 @@ class ExperimentSpec:
             Objective(name, self.alpha)
         TrainConfig(self.iterations)
         check_fraction(self.dev_fraction)
+        if self.dev_size is not None and (type(self.dev_size) is not int or self.dev_size < 1):
+            raise ValueError(f"dev size must be a positive integer, got {self.dev_size!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -86,6 +90,9 @@ def run_experiment(spec: ExperimentSpec):
     trained on the full corpus, test sentences included; only the gold
     links of the dev split are visible to tuning, and dev pairs are
     excluded from test scoring.
+
+    Each training corpus has one ``TrainingSession`` for the whole run, so
+    it is compiled, and its first E-step run, once.
     """
     corpus = load_parallel_corpus(spec.source_path, spec.target_path, spec.lowercase)
     annotation = load_annotations(spec.annotations_path, corpus)
@@ -93,16 +100,20 @@ def run_experiment(spec: ExperimentSpec):
     dev_annotation, test_annotation = split_annotated(annotation, dev_size, spec.seed)
 
     stats = occurrence_stats(corpus)
+    session = TrainingSession(corpus)
     objectives = [Objective(name, spec.alpha) for name in spec.objectives]
-    # training corpus name -> (corpus, dev set, stats); a bad split fails before training
+    # training corpus name -> (corpus, dev set, stats, session); a bad split fails before training
     setups = {}
     for objective in objectives:
         corpus_name = "full" if objective.requires_annotation else "slice"
         if corpus_name not in setups:
             tune_corpus, dev = tuning_data(corpus, objective, dev_annotation, spec.dev_fraction, spec.seed)
-            setups[corpus_name] = tune_corpus, dev, stats if tune_corpus is corpus else occurrence_stats(tune_corpus)
+            if tune_corpus is corpus:
+                setups[corpus_name] = corpus, dev, stats, session
+            else:
+                setups[corpus_name] = tune_corpus, dev, occurrence_stats(tune_corpus), TrainingSession(tune_corpus)
     config = TrainConfig(spec.iterations)
-    baseline = train(corpus, config)
+    baseline = train(corpus, config, session)
     baseline_report = evaluate_corpus(baseline.table, corpus, test_annotation)
 
     # training corpus name -> lambda -> table
@@ -117,14 +128,14 @@ def run_experiment(spec: ExperimentSpec):
             cells.append(cell)
             try:
                 corpus_name = "full" if objective.requires_annotation else "slice"
-                tune_corpus, dev, tune_stats = setups[corpus_name]
+                tune_corpus, dev, tune_stats, tune_session = setups[corpus_name]
                 strategy = make_strategy(strategy_name, tune_stats)
                 result = tune(tune_corpus, dev, objective, replace(config, strategy=strategy),
-                              spec.tune_config, tables.setdefault(corpus_name, {}))
+                              spec.tune_config, tables.setdefault(corpus_name, {}), tune_session)
                 lam = result.lambda_star
                 if lam not in tables["full"]:
                     strategy = make_strategy(strategy_name, stats)
-                    tables["full"][lam] = train(corpus, replace(config, lam=lam, strategy=strategy)).table
+                    tables["full"][lam] = train(corpus, replace(config, lam=lam, strategy=strategy), session).table
                 report = evaluate_corpus(tables["full"][lam], corpus, test_annotation)
                 cell.lam = lam
                 cell.aer = report.aer

@@ -192,6 +192,7 @@ def tune(
     train_config: TrainConfig,
     tune_config: TuneConfig | None = None,
     tables: dict[float, TranslationTable] | None = None,
+    session: TrainingSession | None = None,
 ) -> TuneResult:
     """Pick the scale lambda optimizing the objective on development data.
 
@@ -202,6 +203,8 @@ def tune(
 
     The retrains share one ``TrainingSession``: the corpus is compiled,
     and the first E-step run, once per call rather than once per lambda.
+    A caller that tunes the same corpus again may pass its own ``session``
+    for that corpus, so the work is done once across calls too.
 
     ``tables`` optionally maps lambda to a table already trained on this
     corpus with this train config; a candidate found there is not
@@ -211,7 +214,7 @@ def tune(
     if objective.requires_annotation and not dev.annotated:
         raise ValueError(f"objective {objective.name!r} needs an annotated development set")
     grid = sorted(set(tune_config.grid) | {0.0})
-    session = TrainingSession(train_corpus)
+    session = session or TrainingSession(train_corpus)
 
     def score(lam: float) -> float:
         table = tables.get(lam) if tables is not None else None

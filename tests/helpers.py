@@ -3,7 +3,14 @@
 import math
 import random
 
-from alignsmooth import NULL_ID, AnnotationEntry, TranslationTable, corpus_from_tokens, evaluate_corpus
+from alignsmooth import (
+    NULL_ID,
+    AnnotationEntry,
+    OccurrenceStats,
+    TranslationTable,
+    corpus_from_tokens,
+    evaluate_corpus,
+)
 from alignsmooth.errors import UnknownTokenError
 from alignsmooth.model import float_sum
 from alignsmooth.trainer import _estep, build_table, compile_corpus, compile_strategy, maximize_smoothed
@@ -63,6 +70,41 @@ def reference_em(src_sentences, tgt_sentences, iterations, add=0.0):
 def weight(strategy, e, f):
     """g(e, f) of an adding strategy."""
     return strategy.base_weight(e) + strategy.extra_weights(e).get(f, 0.0)
+
+
+def dict_cooc(corpus):
+    """Presence-based co-occurrence {e: {f: pairs}}, NULL included, as a plain dict loop.
+
+    The oracle for ``OccurrenceStats.cooc``: rows and their keys appear in
+    the order the loop first meets them.
+    """
+    cooc = {}
+    for pair in corpus.pairs:
+        target_set = set(pair.target)
+        for e in set(pair.source) | {NULL_ID}:
+            row = cooc.setdefault(e, {})
+            for f in target_set:
+                row[f] = row.get(f, 0) + 1
+    return cooc
+
+
+def ordered(cooc):
+    """Co-occurrence as a list, so that comparing it compares key order too."""
+    return [(e, list(row.items())) for e, row in cooc.items()]
+
+
+def record_cooc_counts(monkeypatch):
+    """Patch ``OccurrenceStats.cooc`` to append each stats object it counts; returns that list."""
+    counted = []
+    prop = OccurrenceStats.__dict__["cooc"]
+    count = prop.func
+
+    def recording(stats):
+        counted.append(stats)
+        return count(stats)
+
+    monkeypatch.setattr(prop, "func", recording)
+    return counted
 
 
 def cooc_count(stats, e, f):

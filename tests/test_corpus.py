@@ -11,8 +11,9 @@ from alignsmooth import (
     split_unannotated,
 )
 from alignsmooth.corpus import NULL_ID, NULL_TOKEN, AnnotationEntry
+from alignsmooth.data import toy_paths
 
-from helpers import cooc_count, random_corpus, t1_corpus, tokens
+from helpers import cooc_count, dict_cooc, ordered, random_corpus, record_cooc_counts, t1_corpus, tokens
 
 
 def write_corpus(tmp_path, source_text, target_text):
@@ -99,6 +100,16 @@ class TestOccurrenceStats:
             for f, c in row.items():
                 assert c <= stats.source_count(e)
                 assert c <= stats.target_counts[f]
+
+    def test_cooc_is_counted_on_first_read_once(self, monkeypatch):
+        counted = record_cooc_counts(monkeypatch)
+        corpus = load_parallel_corpus(*toy_paths()[:2])
+        stats = occurrence_stats(corpus)
+        assert counted == [] and "cooc" not in vars(stats)
+        first = stats.cooc
+        assert stats.cooc is first
+        assert len(counted) == 1 and counted[0] is stats
+        assert ordered(first) == ordered(dict_cooc(corpus))
 
 
 class TestAnnotations:

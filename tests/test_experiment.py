@@ -1,9 +1,13 @@
 """The experiment grid trains each (corpus, strategy, lambda) at most once,
 and every cell equals what uncached tuning and training give."""
 
+import os
+from dataclasses import replace
+
 import pytest
 
 import alignsmooth.experiment as experiment
+import alignsmooth.trainer as trainer
 import alignsmooth.tuner as tuner
 from alignsmooth import (
     DevSet,
@@ -21,7 +25,9 @@ from alignsmooth import (
     tune,
 )
 from alignsmooth.data import toy_paths
-from alignsmooth.experiment import ExperimentSpec, run_experiment
+from alignsmooth.experiment import ExperimentSpec, report_tsv, run_experiment
+
+from helpers import record_cooc_counts
 
 ITERATIONS = 3
 
@@ -109,3 +115,62 @@ def test_non_integer_iterations_rejected_before_any_file_is_read(tmp_path, itera
     missing = str(tmp_path / "missing.txt")
     with pytest.raises(ValueError, match="iterations must be an integer"):
         ExperimentSpec(missing, missing, missing, iterations=iterations)
+
+
+@pytest.mark.parametrize("dev_size", [2.5, True, 0])
+def test_bad_dev_size_rejected_before_any_file_is_read(tmp_path, dev_size):
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(ValueError, match="dev size must be a positive integer"):
+        ExperimentSpec(missing, missing, missing, dev_size=dev_size)
+
+
+@pytest.mark.parametrize("seed", ["13", 1.5, True])
+def test_non_integer_seed_rejected_before_any_file_is_read(tmp_path, seed):
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ExperimentSpec(missing, missing, missing, seed=seed)
+
+
+def test_one_session_per_training_corpus(monkeypatch):
+    compiled = []
+
+    def counting_compile(corpus):
+        compiled.append(corpus)
+        return real_compile(corpus)
+
+    real_compile = trainer.compile_corpus
+    monkeypatch.setattr(trainer, "compile_corpus", counting_compile)
+    report = report_tsv(*run_experiment(ExperimentSpec(*toy_paths())))
+    assert len(compiled) == 2  # the full corpus and the tuning slice
+    recorded = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "expected",
+                            "toy-experiment.report.tsv")
+    with open(recorded, "rb") as handle:
+        assert report.encode("utf-8") == handle.read()
+
+
+def recording_stats(monkeypatch):
+    made = []
+
+    def recording(corpus):
+        made.append(real(corpus))
+        return made[-1]
+
+    real = experiment.occurrence_stats
+    monkeypatch.setattr(experiment, "occurrence_stats", recording)
+    return made
+
+
+def test_no_cooc_without_add_dice(spec, monkeypatch):
+    made = recording_stats(monkeypatch)
+    _, cells = run_experiment(replace(spec, strategies=("add-one", "add-source-count")))
+    assert [cell.status for cell in cells] == ["ok"] * 6
+    assert len(made) == 2 and not any("cooc" in vars(stats) for stats in made)
+
+
+def test_add_dice_counts_cooc_once_per_training_corpus(spec, monkeypatch):
+    made = recording_stats(monkeypatch)
+    counted = record_cooc_counts(monkeypatch)
+    _, cells = run_experiment(spec)
+    assert [cell.status for cell in cells] == ["ok"] * 6
+    assert len(made) == 2
+    assert sorted(map(id, counted)) == sorted(map(id, made))

@@ -16,7 +16,16 @@ from alignsmooth import (
     write_table,
 )
 
-from helpers import kernel_steps, log_posterior, random_corpus, row_total, uniform_init, weight
+from helpers import (
+    dict_cooc,
+    kernel_steps,
+    log_posterior,
+    ordered,
+    random_corpus,
+    row_total,
+    uniform_init,
+    weight,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=15, deadline=None)
 
@@ -70,6 +79,16 @@ def test_lambda_zero_equals_unsmoothed(seed, name):
     assert smoothed.table.rows == plain.table.rows
     assert smoothed.table.row_defaults == plain.table.row_defaults
     assert smoothed.log_likelihood_trace == plain.log_likelihood_trace
+
+
+@SETTINGS
+@given(seeds, st.integers(1, 60), st.integers(1, 60), st.booleans())
+def test_cooc_equals_the_dict_loop_key_order_included(seed, source_types, target_types, sliced):
+    # catches NULL left out of the grouping, and rows or keys counted in another order
+    corpus = random_corpus(seed, max_pairs=40, source_types=source_types, target_types=target_types)
+    if sliced:
+        corpus = corpus.subset(range(1, len(corpus.pairs), 2))
+    assert ordered(occurrence_stats(corpus).cooc) == ordered(dict_cooc(corpus))
 
 
 @SETTINGS

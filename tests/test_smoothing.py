@@ -14,7 +14,7 @@ from alignsmooth import (
 from alignsmooth.corpus import NULL_ID
 from alignsmooth.trainer import build_table, compile_corpus, compile_strategy, maximize_smoothed
 
-from helpers import cooc_count, random_corpus, row_total, t1_corpus, weight
+from helpers import cooc_count, random_corpus, record_cooc_counts, row_total, t1_corpus, weight
 
 
 def mstep_row(corpus, strategy, e):
@@ -148,3 +148,13 @@ class TestStrategyContracts:
             for e in range(len(corpus.source_vocab)):
                 for f in range(len(corpus.target_vocab)):
                     assert weight(strategy, e, f) >= 0.0
+
+
+@pytest.mark.parametrize("name", ["add-one", "add-source-count", "add-dice"])
+def test_train_counts_cooc_only_for_add_dice(monkeypatch, name):
+    counted = record_cooc_counts(monkeypatch)
+    corpus = random_corpus(3)
+    stats = occurrence_stats(corpus)
+    for lam in (0.5, 2.0):  # two strategies on one stats object
+        train(corpus, TrainConfig(3, lam, make_strategy(name, stats)))
+    assert [id(s) for s in counted] == ([id(stats)] if name == "add-dice" else [])

@@ -20,7 +20,7 @@ from alignsmooth import (
 )
 from alignsmooth.data import toy_paths
 
-from helpers import t1_corpus
+from helpers import record_cooc_counts, t1_corpus
 
 
 class TestGridBracket:
@@ -278,3 +278,13 @@ def test_one_tune_runs_the_first_estep_once(monkeypatch):
     retrains = len(result.evaluations)
     assert len(sessions) == retrains and len({id(s) for s in sessions}) == 1
     assert len(estep_calls) == 1 + (iterations - 1) * retrains
+
+
+@pytest.mark.parametrize("name", ["add-one", "add-source-count", "add-dice"])
+def test_tune_counts_cooc_only_for_add_dice(monkeypatch, name):
+    counted = record_cooc_counts(monkeypatch)
+    corpus = t1_corpus()
+    stats = occurrence_stats(corpus)
+    tune(corpus, DevSet.unannotated(corpus.pairs), Objective("ml-unannotated"),
+         TrainConfig(iterations=2, strategy=make_strategy(name, stats)), small_tune_config())
+    assert [id(s) for s in counted] == ([id(stats)] if name == "add-dice" else [])
