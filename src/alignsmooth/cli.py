@@ -199,7 +199,10 @@ def cmd_tune(args) -> int:
         if not args.annotations:
             raise ValueError(f"objective {objective.name!r} requires --annotations")
         dev_annotation = load_annotations(args.annotations, corpus)
-        if args.dev_size is not None:
+        size = len(dev_annotation)  # tune holds out no test set, so every pair may tune
+        if args.dev_size is not None and not 0 < args.dev_size <= size:
+            raise ValueError(f"dev size must be in 1..{size}, got {args.dev_size}")
+        if args.dev_size is not None and args.dev_size < size:
             dev_annotation, _ = split_annotated(dev_annotation, args.dev_size, args.seed)
     train_corpus, dev = tuning_data(corpus, objective, dev_annotation, args.dev_fraction, args.seed)
     strategy = make_strategy(args.strategy, occurrence_stats(train_corpus))

@@ -94,9 +94,11 @@ def compile_corpus(corpus: ParallelCorpus) -> SlotCorpus:
 def _estep(slots: SlotCorpus, probs: list[float]) -> tuple[list[float], list[float], float]:
     """Expected count per slot, per-source totals, and the log-likelihood.
 
-    ``probs[s]`` is t(f|e) of slot s.  Counts and totals grow one link at
-    a time in corpus order; a target word scoring zero against every
-    source position spreads 1/(l+1) over them and makes its pair -inf.
+    ``probs[s]`` is t(f|e) of slot s.  Each denominator is folded straight
+    from ``probs`` and the scatter scales ``probs[s]`` per link, with no
+    per-word list.  Counts and totals grow one link at a time in corpus
+    order; a target word scoring zero against every source position
+    spreads 1/(l+1) over them and makes its pair -inf.
     """
     counts = [0.0] * slots.slot_count
     totals = [0.0] * len(slots.rows)
@@ -107,20 +109,21 @@ def _estep(slots: SlotCorpus, probs: list[float]) -> tuple[list[float], list[flo
         pair_ll = -(len(links) // width) * log(width)
         degenerate = False
         for ids in zip(*[iter(links)] * width):
-            values = [probs[s] for s in ids]
             denom = 0.0  # a left fold from 0.0, the same bits on every Python
-            for v in values:
-                denom += v
+            for s in ids:
+                denom += probs[s]
             if denom > 0.0:
                 pair_ll += log(denom)
-            else:  # 1.0 * (1.0 / width) is the share 1/(l+1) exactly
+                inv = 1.0 / denom
+                for s, e in zip(ids, sources):
+                    v = probs[s] * inv
+                    counts[s] += v
+                    totals[e] += v
+            else:  # zero or NaN: each link gets 1.0 / width, the share 1/(l+1) exactly
                 degenerate = True
-                values, denom = [1.0] * width, width
-            inv = 1.0 / denom
-            for s, e, v in zip(ids, sources, values):
-                v *= inv
-                counts[s] += v
-                totals[e] += v
+                for s, e in zip(ids, sources):
+                    counts[s] += 1.0 / width
+                    totals[e] += 1.0 / width
         log_likelihood += float("-inf") if degenerate else pair_ll
     return counts, totals, log_likelihood
 

@@ -5,11 +5,15 @@ is the corresponding fail line.  Run with ``pytest tests/test_acceptance.py -v``
 """
 
 import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import alignsmooth
 from alignsmooth import (
     DevSet,
     Objective,
@@ -272,8 +276,8 @@ def test_experiment_grid_shape(tmp_path):
     code = main(["experiment", "-s", src, "-t", tgt, "-a", ann, "-o", out_dir])
     elapsed = time.perf_counter() - started
     assert code == 0
-    report = open(os.path.join(out_dir, "report.tsv"), "rb").read()
-    assert report == open(RECORDED_TOY_REPORT, "rb").read()
+    report = pathlib.Path(out_dir, "report.tsv").read_bytes()
+    assert report == pathlib.Path(RECORDED_TOY_REPORT).read_bytes()
     tsv = report.decode("utf-8")
     lines = tsv.splitlines()
     assert sum(1 for line in lines if line.startswith("baseline\taer\t")) == 1
@@ -286,3 +290,19 @@ def test_experiment_grid_shape(tmp_path):
     assert elapsed < 60.0
     print(f"ACCEPTANCE PASS: experiment grid shape "
           f"(1 baseline + 12 cells with decreasement, {elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_experiment_report_does_not_depend_on_hash_seed(tmp_path, hash_seed):
+    """Each process draws its own string hash seed, so set and dict order
+    must reach no output: the toy report.tsv is the recorded one under
+    any PYTHONHASHSEED."""
+    src, tgt, ann = toy_paths()
+    package_root = os.path.dirname(os.path.dirname(alignsmooth.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    out_dir = tmp_path / "exp"
+    subprocess.run([sys.executable, "-m", "alignsmooth", "experiment", "-s", src, "-t", tgt,
+                    "-a", ann, "-o", str(out_dir)], env=env, check=True, capture_output=True)
+    assert (out_dir / "report.tsv").read_bytes() == pathlib.Path(RECORDED_TOY_REPORT).read_bytes()
+    print(f"ACCEPTANCE PASS: toy report under PYTHONHASHSEED={hash_seed}")

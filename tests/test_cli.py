@@ -24,9 +24,9 @@ class TestTrainCommand:
         code = main(["train", "-s", src, "-t", tgt, "--iters", "10", "-o", out])
         assert code == 0
         assert os.path.exists(out)
-        trace_lines = open(out + ".trace", encoding="utf-8").read().splitlines()
+        trace_lines = pathlib.Path(out + ".trace").read_text(encoding="utf-8").splitlines()
         assert len(trace_lines) == 10
-        header = open(out, encoding="utf-8").read()
+        header = pathlib.Path(out).read_text(encoding="utf-8")
         assert "# iterations: 10" in header
 
     def test_smoothed_training_flags(self, t1_files, tmp_path):
@@ -35,7 +35,7 @@ class TestTrainCommand:
         code = main(["train", "-s", src, "-t", tgt, "--iters", "2",
                      "--strategy", "add-one", "--lambda", "1.0", "-o", out])
         assert code == 0
-        assert "# lambda: 1.0" in open(out, encoding="utf-8").read()
+        assert "# lambda: 1.0" in pathlib.Path(out).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("lam", ["inf", "nan"])
     def test_non_finite_lambda_exits_one_without_model(self, t1_files, tmp_path, lam):
@@ -85,7 +85,7 @@ class TestAlignCommand:
         model = self.model(t1_files, tmp_path, capsys)
         out = str(tmp_path / "alignments.txt")
         assert main(["align", "-s", src, "-t", tgt, "-m", model, "-o", out]) == 0
-        assert open(out, encoding="utf-8").read().splitlines()[0] == "2-2"
+        assert pathlib.Path(out).read_text(encoding="utf-8").splitlines()[0] == "2-2"
 
     def test_unknown_token_warns_not_crashes(self, t1_files, tmp_path, capsys):
         model = self.model(t1_files, tmp_path, capsys)
@@ -122,7 +122,7 @@ class TestTuneCommand:
             "--grid", "0,0.5,2", "--iters", "3", "--dev-size", "4", "-o", out,
         ])
         assert code == 0
-        content = open(out, encoding="utf-8").read()
+        content = pathlib.Path(out).read_text(encoding="utf-8")
         assert content.startswith("strategy\tadd-one")
         assert "lambda_star\t" in content
         assert "lambda*" in capsys.readouterr().out
@@ -150,6 +150,24 @@ class TestTuneCommand:
         assert code == 1
         assert not out.exists()
 
+    def test_dev_size_of_every_annotated_pair_tunes_on_all(self, tmp_path, capsys):
+        # tune holds out no test set, so all 15 annotated toy pairs may tune
+        src, tgt, ann = toy_paths()
+        args = ["tune", "-s", src, "-t", tgt, "-a", ann, "--objective", "smoothed-error-count",
+                "--grid", "0,0.5,2", "--iters", "3"]
+        assert main(args + ["-o", str(tmp_path / "all.tsv")]) == 0
+        assert main(args + ["--dev-size", "15", "-o", str(tmp_path / "15.tsv")]) == 0
+        assert (tmp_path / "15.tsv").read_bytes() == (tmp_path / "all.tsv").read_bytes()
+        capsys.readouterr()
+        for size in ("16", "0"):
+            assert main(args + ["--dev-size", size, "-o", str(tmp_path / f"{size}.tsv")]) == 1
+            assert "dev size must be in 1..15" in capsys.readouterr().err
+            assert not (tmp_path / f"{size}.tsv").exists()
+        # experiment needs a test set, so it keeps 1..14
+        exp_args = ["experiment", "-s", src, "-t", tgt, "-a", ann, "--dev-size", "15"]
+        assert main(exp_args + ["-o", str(tmp_path / "exp")]) == 1
+        assert "dev size must be in 1..14" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,default", [
         ("tune", "every annotated pair"), ("experiment", "a third of the annotated pairs"),
     ], ids=["tune", "experiment"])
@@ -168,7 +186,7 @@ class TestEvalCommand:
         code = main(["eval", "-s", src, "-t", tgt, "-m", model, "-a", ann, "-o", out])
         assert code == 0
         assert "AER" in capsys.readouterr().out
-        content = open(out, encoding="utf-8").read()
+        content = pathlib.Path(out).read_text(encoding="utf-8")
         assert content.startswith("precision\t")
 
     def reversed_model(self, tmp_path, capsys):
@@ -176,7 +194,7 @@ class TestEvalCommand:
         src, tgt, _ = toy_paths()
         paths = []
         for path in (src, tgt):
-            lines = open(path, encoding="utf-8").read().splitlines()
+            lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
             reversed_path = tmp_path / ("reversed." + os.path.basename(path))
             reversed_path.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
             paths.append(str(reversed_path))
@@ -186,7 +204,7 @@ class TestEvalCommand:
         return model
 
     def report(self, out):
-        fields = dict(line.split("\t") for line in open(out, encoding="utf-8").read().splitlines())
+        fields = dict(line.split("\t") for line in pathlib.Path(out).read_text(encoding="utf-8").splitlines())
         return float(fields["aer"]), int(fields["error_count"])
 
     def test_model_from_reordered_corpus(self, tmp_path, capsys):
@@ -200,7 +218,7 @@ class TestEvalCommand:
     def test_unseen_target_word_warns_once_and_scores(self, tmp_path, capsys):
         src, tgt, ann = toy_paths()
         model = self.reversed_model(tmp_path, capsys)
-        lines = open(tgt, encoding="utf-8").read().splitlines()
+        lines = pathlib.Path(tgt).read_text(encoding="utf-8").splitlines()
         first = lines[0].split()
         lines[0] = " ".join(["zzzunseen"] + first[1:])
         lines[1] = lines[1] + " zzzunseen"
@@ -254,7 +272,7 @@ class TestExperimentCommand:
     def test_single_strategy_two_objectives(self, tmp_path):
         out_dir = str(tmp_path / "exp")
         assert self.run_small(out_dir) == 0
-        tsv = open(os.path.join(out_dir, "report.tsv"), encoding="utf-8").read()
+        tsv = pathlib.Path(out_dir, "report.tsv").read_text(encoding="utf-8")
         assert tsv.count("\tstatus\tok") == 2
         assert "baseline\taer\t" in tsv
         assert "decreasement" in tsv
@@ -266,8 +284,8 @@ class TestExperimentCommand:
         assert self.run_small(first) == 0
         assert self.run_small(second) == 0
         for name in ("report.tsv", "report.txt"):
-            a = open(os.path.join(first, name), "rb").read()
-            b = open(os.path.join(second, name), "rb").read()
+            a = pathlib.Path(first, name).read_bytes()
+            b = pathlib.Path(second, name).read_bytes()
             assert a == b
 
     def test_unknown_strategy_rejected(self, tmp_path):
@@ -281,7 +299,7 @@ class TestExperimentCommand:
         assert self.run_small(out_dir) == 0
         baseline = None
         cells = {}
-        for line in open(os.path.join(out_dir, "report.tsv"), encoding="utf-8"):
+        for line in pathlib.Path(out_dir, "report.tsv").read_text(encoding="utf-8").splitlines():
             fields = line.rstrip("\n").split("\t")
             if fields[0] == "baseline" and fields[1] == "aer":
                 baseline = float(fields[2])
@@ -316,7 +334,7 @@ class TestExperimentCommand:
         monkeypatch.setattr(experiment, "tune", explode)
         out_dir = str(tmp_path / "exp")
         assert self.run_small(out_dir) == 3
-        tsv = open(os.path.join(out_dir, "report.tsv"), encoding="utf-8").read()
+        tsv = pathlib.Path(out_dir, "report.tsv").read_text(encoding="utf-8")
         assert "baseline\taer\t" in tsv
         assert tsv.count("\tstatus\tfailed") == 2
         assert "forced failure" in tsv

@@ -4,7 +4,11 @@ Equality is exact (``==``): the kernel keeps the oracle's arithmetic and
 summation order, so any difference is a defect.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsmooth import (
     STRATEGY_NAMES,
@@ -142,6 +146,29 @@ def test_zero_denominator_estep_matches_oracle():
     for e, row in oracle_counts.items():
         for f, c in row.items():
             assert slot_count(slots, counts, e, f) == c
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([0.0, 0.3, 0.6, 0.9]), st.booleans())
+def test_estep_both_branches_match_oracle(seed, zero_share, sliced):
+    # zeros make some target words degenerate while others in the same pair are
+    # not, so some pairs come out -inf; catches a degenerate loop that scales
+    # probs[s] instead of adding 1/(l+1), and a denominator folded in reverse
+    corpus = random_corpus(seed, max_pairs=30, max_len=5, source_types=6, target_types=7)
+    if sliced:
+        corpus = corpus.subset(range(0, len(corpus.pairs), 2))
+    slots = compile_corpus(corpus)
+    rng = random.Random(seed)
+    probs = [0.0 if rng.random() < zero_share else rng.random() for _ in range(slots.slot_count)]
+    counts, totals, log_likelihood = _estep(slots, probs)
+    rows = {e: {f: probs[s] for f, s in row.items()} for e, row in enumerate(slots.rows)}
+    table = TranslationTable(rows, {}, corpus.source_vocab, corpus.target_vocab)
+    oracle_counts, oracle_totals, oracle_ll = dict_estep(corpus, table)
+    assert log_likelihood == oracle_ll
+    assert totals == [oracle_totals.get(e, 0.0) for e in range(len(corpus.source_vocab))]
+    for e, row in enumerate(slots.rows):
+        for f in row:
+            assert slot_count(slots, counts, e, f) == oracle_counts.get(e, {}).get(f, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(3))
