@@ -15,6 +15,7 @@ from .corpus import (
     UNKNOWN_ID,
     ParallelCorpus,
     SentencePair,
+    check_dev_size,
     check_fraction,
     load_annotations,
     load_parallel_corpus,
@@ -26,7 +27,7 @@ from .evaluation import evaluate_corpus, links_from_alignment
 from .experiment import ExperimentSpec, report_text, report_tsv, run_experiment, tuning_data
 from .model import TranslationTable, read_table, viterbi_align, write_table
 from .objectives import OBJECTIVE_NAMES, Objective
-from .smoothing import STRATEGY_NAMES, make_strategy
+from .smoothing import STRATEGY_NAMES, AddingStrategy, make_strategy
 from .trainer import TrainConfig, train
 from .tuner import DEFAULT_GRID, TuneConfig, tune
 
@@ -128,11 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
+    # TrainConfig checks --iters and --lambda before any file is read; the
+    # placeholder strategy gives way to the real one, which needs the corpus
+    config = TrainConfig(args.iters, args.lam, AddingStrategy())
     corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
-    strategy = None
     if args.lam > 0:
-        strategy = make_strategy(args.strategy, occurrence_stats(corpus))
-    config = TrainConfig(args.iters, args.lam, strategy)
+        config = replace(config, strategy=make_strategy(args.strategy, occurrence_stats(corpus)))
     result = train(corpus, config)
     write_table(result.table, args.out, iterations=args.iters,
                 strategy=args.strategy if args.lam > 0 else "none", lam=args.lam)
@@ -193,6 +195,7 @@ def cmd_tune(args) -> int:
     tune_config = TuneConfig(args.grid, args.tol, args.max_evals)
     train_config = TrainConfig(iterations=args.iters)
     check_fraction(args.dev_fraction)
+    check_dev_size(args.dev_size)
     corpus = load_parallel_corpus(args.source, args.target, args.lowercase)
     dev_annotation = None
     if objective.requires_annotation:
@@ -200,7 +203,7 @@ def cmd_tune(args) -> int:
             raise ValueError(f"objective {objective.name!r} requires --annotations")
         dev_annotation = load_annotations(args.annotations, corpus)
         size = len(dev_annotation)  # tune holds out no test set, so every pair may tune
-        if args.dev_size is not None and not 0 < args.dev_size <= size:
+        if args.dev_size is not None and args.dev_size > size:
             raise ValueError(f"dev size must be in 1..{size}, got {args.dev_size}")
         if args.dev_size is not None and args.dev_size < size:
             dev_annotation, _ = split_annotated(dev_annotation, args.dev_size, args.seed)

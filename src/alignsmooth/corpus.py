@@ -317,6 +317,12 @@ def check_fraction(fraction: float) -> None:
         raise ValueError(f"fraction must lie strictly between 0 and 1, got {fraction}")
 
 
+def check_dev_size(dev_size: int | None) -> None:
+    """Reject a dev size that is set but not a positive integer."""
+    if dev_size is not None and (type(dev_size) is not int or dev_size < 1):
+        raise ValueError(f"dev size must be a positive integer, got {dev_size!r}")
+
+
 def split_unannotated(corpus: ParallelCorpus, fraction: float, seed: int) -> tuple[ParallelCorpus, ParallelCorpus]:
     """Split a corpus into (train, dev) with dev holding floor(n * fraction) pairs."""
     check_fraction(fraction)

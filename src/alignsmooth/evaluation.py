@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import AnnotationEntry, ParallelCorpus, adapt_annotation
-from .model import TranslationTable, viterbi_align
+from .corpus import AnnotationEntry, ParallelCorpus
+from .model import TranslationTable
+from .objectives import DevSet, viterbi_errors
 
 Link = tuple[int, int]
 
@@ -73,18 +74,16 @@ def evaluate_corpus(
     """
     if not annotation:
         raise ValueError("no pairs to evaluate")
-    total_links = total_sure = hit_possible = hit_sure = 0
-    errors = 0
-    for k, entry in sorted(annotation.items()):
-        pair = corpus.pairs[k]
-        deduced = viterbi_align(pair, table)
+    dev = DevSet.from_annotations(corpus, annotation)
+    total_links = total_sure = hit_possible = hit_sure = errors = 0
+    for (_, entry), (pair, gold) in zip(sorted(annotation.items()), dev.gold_pairs()):
+        deduced, pair_errors = viterbi_errors(pair, gold, table)
         links = links_from_alignment(deduced, emit_null)
         total_links += len(links)
         total_sure += len(entry.sure)
         hit_possible += len(links & entry.possible)
         hit_sure += len(links & entry.sure)
-        gold = adapt_annotation(entry, len(pair.target))
-        errors += sum(1 for g, h in zip(gold, deduced) if g != h)
+        errors += pair_errors
     denom = total_links + total_sure
     return EvalReport(
         precision=hit_possible / total_links if total_links else 1.0,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .corpus import (
+    check_dev_size,
     check_fraction,
     load_annotations,
     load_parallel_corpus,
@@ -52,8 +53,7 @@ class ExperimentSpec:
             Objective(name, self.alpha)
         TrainConfig(self.iterations)
         check_fraction(self.dev_fraction)
-        if self.dev_size is not None and (type(self.dev_size) is not int or self.dev_size < 1):
-            raise ValueError(f"dev size must be a positive integer, got {self.dev_size!r}")
+        check_dev_size(self.dev_size)
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 

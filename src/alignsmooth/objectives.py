@@ -46,9 +46,11 @@ class DevSet:
                 if any(not 0 <= i <= len(pair.source) for i in alignment):
                     raise ValueError("gold alignment positions must lie in 0..l")
 
-    @property
-    def annotated(self) -> bool:
-        return self.alignments is not None
+    def gold_pairs(self):
+        """Each pair zipped with its gold alignment; raises ValueError on a set without gold."""
+        if self.alignments is None:
+            raise ValueError("this objective requires an annotated development set")
+        return zip(self.pairs, self.alignments)
 
     @classmethod
     def unannotated(cls, pairs) -> "DevSet":
@@ -66,11 +68,6 @@ class DevSet:
         return cls(pairs, alignments)
 
 
-def _require_annotated(dev: DevSet) -> None:
-    if not dev.annotated:
-        raise ValueError("this objective requires an annotated development set")
-
-
 def dev_log_likelihood(dev: DevSet, table: TranslationTable) -> float:
     """Summed sentence-pair log-likelihood; -inf propagates."""
     return float_sum(pair_log_likelihood(pair, table) for pair in dev.pairs)
@@ -78,9 +75,8 @@ def dev_log_likelihood(dev: DevSet, table: TranslationTable) -> float:
 
 def aligned_log_likelihood(dev: DevSet, table: TranslationTable) -> float:
     """Log-likelihood of dev pairs jointly with their gold links."""
-    _require_annotated(dev)
     total = 0.0
-    for pair, alignment in zip(dev.pairs, dev.alignments):
+    for pair, alignment in dev.gold_pairs():
         for values, i in zip(link_scores(pair, table), alignment):
             t = values[i]
             if t <= 0.0:
@@ -89,14 +85,16 @@ def aligned_log_likelihood(dev: DevSet, table: TranslationTable) -> float:
     return total
 
 
+def viterbi_errors(pair: SentencePair, gold: tuple[int, ...],
+                   table: TranslationTable) -> tuple[tuple[int, ...], int]:
+    """A pair's Viterbi alignment and the number of its positions that differ from gold."""
+    deduced = viterbi_align(pair, table)
+    return deduced, sum(1 for g, got in zip(gold, deduced) if g != got)
+
+
 def alignment_error_count(dev: DevSet, table: TranslationTable) -> int:
     """Number of target positions whose Viterbi link differs from gold."""
-    _require_annotated(dev)
-    errors = 0
-    for pair, alignment in zip(dev.pairs, dev.alignments):
-        deduced = viterbi_align(pair, table)
-        errors += sum(1 for gold, got in zip(alignment, deduced) if gold != got)
-    return errors
+    return sum(viterbi_errors(pair, gold, table)[1] for pair, gold in dev.gold_pairs())
 
 
 def smoothed_error_count(dev: DevSet, table: TranslationTable, alpha: float = 10.0) -> float:
@@ -107,12 +105,11 @@ def smoothed_error_count(dev: DevSet, table: TranslationTable, alpha: float = 10
     in the log domain and rescaled by the row maximum so large alpha stays
     numerically safe.
     """
-    _require_annotated(dev)
     if not 1.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and at least 1, got {alpha!r}")
     log, exp, minus_inf = math.log, math.exp, -math.inf
     total = 0.0
-    for pair, alignment in zip(dev.pairs, dev.alignments):
+    for pair, alignment in dev.gold_pairs():
         posterior = link_posterior(pair, table)
         for row, gold in zip(posterior, alignment):
             # some posterior entry is positive, so top is finite and exp(-inf - top) is 0.0

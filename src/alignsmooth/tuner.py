@@ -211,8 +211,8 @@ def tune(
     retrained, and every retrain is stored into it.
     """
     tune_config = tune_config or TuneConfig()
-    if objective.requires_annotation and not dev.annotated:
-        raise ValueError(f"objective {objective.name!r} needs an annotated development set")
+    if objective.requires_annotation:
+        dev.gold_pairs()  # refuses a set without gold before the first retrain
     grid = sorted(set(tune_config.grid) | {0.0})
     session = session or TrainingSession(train_corpus)
 

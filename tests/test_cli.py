@@ -159,9 +159,10 @@ class TestTuneCommand:
         assert main(args + ["--dev-size", "15", "-o", str(tmp_path / "15.tsv")]) == 0
         assert (tmp_path / "15.tsv").read_bytes() == (tmp_path / "all.tsv").read_bytes()
         capsys.readouterr()
-        for size in ("16", "0"):
+        # a size below 1 is refused before the annotations are read, so its message cannot name 15
+        for size, message in (("16", "dev size must be in 1..15"), ("0", "dev size must be a positive integer")):
             assert main(args + ["--dev-size", size, "-o", str(tmp_path / f"{size}.tsv")]) == 1
-            assert "dev size must be in 1..15" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
             assert not (tmp_path / f"{size}.tsv").exists()
         # experiment needs a test set, so it keeps 1..14
         exp_args = ["experiment", "-s", src, "-t", tgt, "-a", ann, "--dev-size", "15"]
@@ -244,13 +245,27 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["tune", "experiment"])
     @pytest.mark.parametrize("flags", [["--alpha", "0.5"], ["--iters", "0"], ["--grid", "0,1,inf"],
-                                       ["--grid", "0,1"], ["--dev-fraction", "0"]],
-                             ids=["alpha", "iters", "grid", "grid-points", "dev-fraction"])
+                                       ["--grid", "0,1"], ["--dev-fraction", "0"], ["--dev-size", "0"]],
+                             ids=["alpha", "iters", "grid", "grid-points", "dev-fraction", "dev-size"])
     def test_bad_setting_rejected_before_any_file_is_read(self, tmp_path, command, flags):
         # a missing file exits 2, so exit 1 shows the setting was checked first
         missing = str(tmp_path / "missing.txt")
         args = [command, "-s", missing, "-t", missing, "-a", missing, "-o", str(tmp_path / "out")]
         assert main(args + flags) == 1
+
+    @pytest.mark.parametrize("flags", [["--iters", "0"], ["--lambda", "-1"]], ids=["iters", "lambda"])
+    def test_bad_train_setting_rejected_before_any_file_is_read(self, tmp_path, flags):
+        # train has no -a flag, so passing one would make a usage error of any case
+        missing = str(tmp_path / "missing.txt")
+        args = ["train", "-s", missing, "-t", missing, "-o", str(tmp_path / "model.tsv")]
+        assert main(args + flags) == 1
+
+    def test_dev_size_below_one_rejected_for_ml_unannotated(self, tmp_path):
+        # ml-unannotated does not use the value, but it is checked all the same
+        src, tgt, _ = toy_paths()
+        code = main(["tune", "-s", src, "-t", tgt, "--objective", "ml-unannotated",
+                     "--grid", "0,1,2", "--iters", "2", "--dev-size", "0"])
+        assert code == 1
 
     def test_bad_dev_size(self, tmp_path):
         src, tgt, ann = toy_paths()

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignsmooth import (
+    DevSet,
     TrainConfig,
+    adapt_annotation,
+    alignment_error_count,
     corpus_from_tokens,
     evaluate_corpus,
     train,
@@ -12,7 +17,7 @@ from alignsmooth import (
 from alignsmooth.corpus import AnnotationEntry
 from alignsmooth.evaluation import links_from_alignment
 
-from helpers import hand_report, t1_corpus
+from helpers import hand_report, random_corpus, t1_corpus
 
 
 class TestPredictedLinks:
@@ -153,3 +158,42 @@ class TestEvaluateCorpus:
         lines = report.to_tsv_lines()
         assert any(line.startswith("aer\t") for line in lines)
         assert "AER" in report.pretty()
+
+
+def random_annotation(corpus, rng):
+    """Sure and possible gold links, in range, on a random non-empty subset of pairs."""
+    annotation = {}
+    for k in rng.sample(range(len(corpus.pairs)), rng.randint(1, len(corpus.pairs))):
+        pair = corpus.pairs[k]
+        universe = [(i, j) for i in range(len(pair.source) + 1) for j in range(1, len(pair.target) + 1)]
+        sure = set(rng.sample(universe, rng.randint(0, len(universe))))
+        possible = sure | set(rng.sample(universe, rng.randint(0, len(universe))))
+        annotation[k] = AnnotationEntry(frozenset(sure), frozenset(possible))
+    return annotation
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4), st.booleans())
+def test_report_agrees_with_dev_set_and_per_link_recount(seed, iterations, emit_null):
+    corpus = random_corpus(seed, max_pairs=12)
+    table = train(corpus, TrainConfig(iterations=iterations)).table
+    annotation = random_annotation(corpus, random.Random(seed))
+    report = evaluate_corpus(table, corpus, annotation, emit_null)
+    assert report.error_count == alignment_error_count(DevSet.from_annotations(corpus, annotation), table)
+
+    total_links = total_sure = hit_possible = hit_sure = errors = 0
+    for k, entry in annotation.items():
+        pair = corpus.pairs[k]
+        deduced = viterbi_align(pair, table)
+        links = links_from_alignment(deduced, emit_null)
+        total_links += len(links)
+        total_sure += len(entry.sure)
+        hit_possible += len(links & entry.possible)
+        hit_sure += len(links & entry.sure)
+        errors += sum(g != h for g, h in zip(adapt_annotation(entry, len(pair.target)), deduced))
+    assert report.error_count == errors
+    assert (report.pair_count, report.link_count, report.sure_count) == (len(annotation), total_links, total_sure)
+    assert report.precision == (hit_possible / total_links if total_links else 1.0)
+    assert report.recall == (hit_sure / total_sure if total_sure else 1.0)
+    denom = total_links + total_sure
+    assert report.aer == (1.0 - (hit_possible + hit_sure) / denom if denom else 0.0)

@@ -93,8 +93,12 @@ class TestAlignedLogLikelihood:
     def test_requires_annotation(self):
         corpus = t1_corpus()
         table = uniform_init(corpus.source_vocab, corpus.target_vocab)
-        with pytest.raises(ValueError):
-            aligned_log_likelihood(DevSet.unannotated(corpus.pairs), table)
+        dev = DevSet.unannotated(corpus.pairs)
+        scorers = [aligned_log_likelihood, alignment_error_count, smoothed_error_count]
+        scorers += [Objective(name).evaluate for name in ("ml-annotated", "error-count", "smoothed-error-count")]
+        for score in scorers:
+            with pytest.raises(ValueError, match="requires an annotated development set"):
+                score(dev, table)
 
     def test_order_invariant(self):
         corpus = t1_corpus()

@@ -204,12 +204,19 @@ class TestTune:
         )
         assert 0.0 in {lam for lam, _ in result.evaluations}
 
-    def test_annotated_objective_needs_annotations(self):
+    def test_annotated_objective_needs_annotations(self, monkeypatch):
+        import alignsmooth.tuner as tuner
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("tune trained before refusing a development set without gold")
+
+        monkeypatch.setattr(tuner, "train", no_training)
         corpus = t1_corpus()
         strategy = make_strategy("add-one", occurrence_stats(corpus))
-        with pytest.raises(ValueError):
-            tune(corpus, DevSet.unannotated(corpus.pairs), Objective("error-count"),
-                 TrainConfig(strategy=strategy), small_tune_config())
+        for name in ("ml-annotated", "error-count", "smoothed-error-count"):
+            with pytest.raises(ValueError, match="requires an annotated development set"):
+                tune(corpus, DevSet.unannotated(corpus.pairs), Objective(name),
+                     TrainConfig(strategy=strategy), small_tune_config())
 
     def test_positive_lambda_needs_a_strategy_in_the_config(self):
         corpus = t1_corpus()
