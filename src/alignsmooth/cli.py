@@ -72,7 +72,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("grid must not be empty")
-    return tuple(sorted(values))
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,12 +16,9 @@ class UnknownTokenError(AlignmentToolkitError, LookupError):
 class TuningError(AlignmentToolkitError):
     """The scale search could not proceed (e.g. objective never finite).
 
-    ``evaluations`` holds the partial (lambda, value) trace gathered before
-    the failure, sorted by lambda; ``lam`` names the offending candidate
-    when one exists.
+    ``lam`` names the offending candidate when one exists.
     """
 
-    def __init__(self, message, lam=None, evaluations=()):
+    def __init__(self, message, lam=None):
         super().__init__(message)
         self.lam = lam
-        self.evaluations = tuple(evaluations)

@@ -167,7 +167,7 @@ def read_table(path) -> tuple[TranslationTable, dict]:
     three fields.  A repeated ``e<TAB>f`` entry, a second default line for
     one ``e``, a vocabulary size unequal to its metadata and a row whose
     mass is not 1 are rejected with the file and the line or word, as is
-    text that is not UTF-8.
+    text that is not UTF-8; a leading BOM is dropped.
     """
     source_vocab = Vocabulary.with_null()
     target_vocab = Vocabulary()
@@ -175,7 +175,7 @@ def read_table(path) -> tuple[TranslationTable, dict]:
     defaults: dict[int, float] = {}
     metadata: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for number, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
                 if not line.strip():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .corpus import ParallelCorpus
 from .errors import TuningError
@@ -39,8 +40,6 @@ class TuneConfig:
     def __post_init__(self):
         if not all(0.0 <= x < math.inf for x in self.grid):
             raise ValueError(f"grid candidates must be finite and non-negative, got {self.grid!r}")
-        if list(self.grid) != sorted(self.grid):
-            raise ValueError("grid must be sorted ascending")
         if len(set(self.grid) | {0.0}) < 3:
             raise ValueError(f"grid needs at least 3 points once 0 is added, got {self.grid!r}")
         if not 0.0 < self.tolerance:
@@ -49,8 +48,7 @@ class TuneConfig:
             raise ValueError(f"max_refine_evals must be a non-negative integer, got {self.max_refine_evals!r}")
 
 
-@dataclass(frozen=True)
-class TuneResult:
+class TuneResult(NamedTuple):
     lambda_star: float
     objective_value: float
     evaluations: tuple[tuple[float, float], ...]
@@ -160,8 +158,8 @@ def brent_minimize(f, bracket, tolerance: float = 1e-4, max_evals: int = 100) ->
 
 
 def search_scale(f, grid, maximize: bool = False, tolerance: float = 1e-4,
-                 max_refine_evals: int = 100) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """Grid sweep plus refinement; returns (best_lambda, best_value, trace).
+                 max_refine_evals: int = 100) -> TuneResult:
+    """Grid sweep plus refinement over a grid sorted ascending; returns the TuneResult.
 
     Every evaluation of f is memoized, and negated once when maximizing, so
     the grid and the refinement both minimize.  The winner is the first
@@ -175,14 +173,10 @@ def search_scale(f, grid, maximize: bool = False, tolerance: float = 1e-4,
             cache[x] = f(x)
         return -cache[x] if maximize else cache[x]
 
-    try:
-        brent_minimize(signed, grid_bracket(signed, grid), tolerance, max_refine_evals)
-    except TuningError as err:
-        err.evaluations = tuple(sorted(cache.items()))
-        raise
+    brent_minimize(signed, grid_bracket(signed, grid), tolerance, max_refine_evals)
     trace = tuple(sorted(cache.items()))
     best = min((lam for lam, value in trace if not math.isnan(value)), key=signed)
-    return best, cache[best], trace
+    return TuneResult(best, cache[best], trace)
 
 
 def tune(
@@ -224,7 +218,6 @@ def tune(
                 tables[lam] = table
         return objective.evaluate(dev, table)
 
-    lam, value, trace = search_scale(
+    return search_scale(
         score, grid, objective.maximize, tune_config.tolerance, tune_config.max_refine_evals
     )
-    return TuneResult(lam, value, trace)

@@ -1,17 +1,29 @@
 """Shared fixtures: tiny corpora, random corpora, and independent EM oracles."""
 
 import math
+import os
 import random
 
 from alignsmooth import (
     NULL_ID,
     AnnotationEntry,
+    DevSet,
+    Objective,
     OccurrenceStats,
+    TrainConfig,
     TranslationTable,
     corpus_from_tokens,
     evaluate_corpus,
+    load_annotations,
+    load_parallel_corpus,
+    make_strategy,
+    occurrence_stats,
+    search_scale,
+    split_annotated,
+    split_unannotated,
 )
-from alignsmooth.errors import UnknownTokenError
+from alignsmooth.errors import DataFormatError, TuningError, UnknownTokenError
+from alignsmooth.experiment import CellResult
 from alignsmooth.model import float_sum
 from alignsmooth.trainer import _estep, build_table, compile_corpus, compile_strategy, maximize_smoothed
 
@@ -364,3 +376,86 @@ def log_posterior(corpus, table, strategy, lam):
             if g > 0.0:
                 prior.append(g * math.log(table.prob(e, f)))
     return total + lam * math.fsum(prior)
+
+
+# --- the experiment without its session, table memo or shared strategy ----
+
+
+def write_experiment_files(directory, corpus, rng):
+    """Write a corpus and random sure/possible gold on at least 2 of its pairs; returns the 3 paths.
+
+    Gold source positions run over 0..l, NULL included.
+    """
+    paths = [os.path.join(directory, name) for name in ("src.txt", "tgt.txt", "ann.txt")]
+    for path, vocab, side in ((paths[0], corpus.source_vocab, "source"), (paths[1], corpus.target_vocab, "target")):
+        with open(path, "w", encoding="utf-8") as handle:
+            for pair in corpus.pairs:
+                handle.write(" ".join(tokens(vocab, getattr(pair, side))) + "\n")
+    records = []
+    for k in sorted(rng.sample(range(len(corpus.pairs)), rng.randint(2, len(corpus.pairs)))):
+        pair = corpus.pairs[k]
+        for _ in range(rng.randint(1, len(pair.target))):
+            i, j = rng.randint(0, len(pair.source)), rng.randint(1, len(pair.target))
+            records.append(f"{k + 1} {i} {j} {rng.choice('SP')}\n")
+    with open(paths[2], "w", encoding="utf-8") as handle:
+        handle.writelines(records)
+    return paths
+
+
+def naive_score(spec, corpus, dev_annotation, strategy_name, objective):
+    """The dev objective of one cell as a function of lambda, by dict_train retrains.
+
+    Every call trains afresh, with a strategy made afresh from the tuning
+    corpus's statistics.
+    """
+    if objective.requires_annotation:
+        tune_corpus, dev = corpus, DevSet.from_annotations(corpus, dev_annotation)
+    else:
+        train_part, dev_part = split_unannotated(corpus, spec.dev_fraction, spec.seed)
+        tune_corpus, dev = train_part, DevSet.unannotated(dev_part.pairs)
+
+    def score(lam):
+        strategy = make_strategy(strategy_name, occurrence_stats(tune_corpus))
+        table, _ = dict_train(tune_corpus, TrainConfig(spec.iterations, lam, strategy))
+        return objective.evaluate(dev, table)
+
+    return score
+
+
+def naive_experiment(spec):
+    """``run_experiment`` as a plain loop: (baseline report, cells, score function per cell).
+
+    Each cell runs a plain ``search_scale`` of ``naive_score`` over the grid
+    plus 0, then trains its lambda* table afresh on the full corpus with
+    full-corpus statistics.  As in ``run_experiment``, a dev fraction that
+    leaves an empty side raises before any training.
+    """
+    corpus = load_parallel_corpus(spec.source_path, spec.target_path, spec.lowercase)
+    annotation = load_annotations(spec.annotations_path, corpus)
+    dev_size = spec.dev_size if spec.dev_size is not None else max(1, len(annotation) // 3)
+    dev_annotation, test_annotation = split_annotated(annotation, dev_size, spec.seed)
+    objectives = [Objective(name, spec.alpha) for name in spec.objectives]
+    if not all(objective.requires_annotation for objective in objectives):
+        split_unannotated(corpus, spec.dev_fraction, spec.seed)
+    baseline_report = evaluate_corpus(dict_train(corpus, TrainConfig(spec.iterations))[0],
+                                      corpus, test_annotation)
+    config = spec.tune_config
+    grid = sorted(set(config.grid) | {0.0})
+    cells, scores = [], []
+    for strategy_name in spec.strategies:
+        for objective in objectives:
+            cell = CellResult(strategy_name, objective.name)
+            cells.append(cell)
+            score = naive_score(spec, corpus, dev_annotation, strategy_name, objective)
+            scores.append(score)
+            try:
+                lam = search_scale(score, grid, objective.maximize, config.tolerance,
+                                   config.max_refine_evals).lambda_star
+                final = TrainConfig(spec.iterations, lam, make_strategy(strategy_name, occurrence_stats(corpus)))
+                report = evaluate_corpus(dict_train(corpus, final)[0], corpus, test_annotation)
+                cell.lam, cell.aer, cell.error_count = lam, report.aer, report.error_count
+                cell.decrease = baseline_report.aer - report.aer
+            except (TuningError, DataFormatError, UnknownTokenError, ValueError) as err:
+                cell.status = "failed"
+                cell.reason = str(err)
+    return baseline_report, cells, scores

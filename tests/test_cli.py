@@ -142,6 +142,26 @@ class TestTuneCommand:
         assert code == 1
 
 
+    def test_grid_order_changes_no_byte(self, tmp_path):
+        # tune sorts the grid and adds 0, so the points may come in any order
+        src, tgt, ann = toy_paths()
+        args = ["tune", "-s", src, "-t", tgt, "-a", ann, "--iters", "3"]
+        assert main(args + ["--grid", "0,0.5,2", "-o", str(tmp_path / "sorted.tsv")]) == 0
+        assert main(args + ["--grid", "2,0,0.5", "-o", str(tmp_path / "shuffled.tsv")]) == 0
+        assert (tmp_path / "shuffled.tsv").read_bytes() == (tmp_path / "sorted.tsv").read_bytes()
+
+    def test_objective_never_finite_exits_three(self, tmp_path, capsys):
+        # the held-out pair's target word never occurs in the training pair, and add-dice
+        # adds no mass to a word its source never met, so it scores -inf at every lambda
+        src, tgt, out = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "tune.tsv"
+        src.write_text("a\na\n", encoding="utf-8")
+        tgt.write_text("x\ny\n", encoding="utf-8")
+        code = main(["tune", "-s", str(src), "-t", str(tgt), "--objective", "ml-unannotated", "--strategy", "add-dice",
+                     "--grid", "0,1,2", "--iters", "2", "--dev-fraction", "0.5", "-o", str(out)])
+        assert code == 3
+        assert "tuning error: objective is not finite anywhere on the grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_grid_exits_one(self, tmp_path):
         src, tgt, ann = toy_paths()
         out = tmp_path / "tune.tsv"
@@ -253,6 +273,15 @@ class TestUsageErrors:
         args = [command, "-s", missing, "-t", missing, "-a", missing, "-o", str(tmp_path / "out")]
         assert main(args + flags) == 1
 
+    @pytest.mark.parametrize("command", ["tune", "experiment"])
+    @pytest.mark.parametrize("grid,message", [("0,a,2", "bad grid '0,a,2'"), (",", "grid must not be empty")],
+                             ids=["not-a-number", "empty"])
+    def test_unparsable_grid_is_a_usage_error(self, tmp_path, capsys, command, grid, message):
+        missing = str(tmp_path / "missing.txt")
+        args = [command, "-s", missing, "-t", missing, "-a", missing, "-o", str(tmp_path / "out")]
+        assert main(args + ["--grid", grid]) == 1
+        assert f"usage error: argument --grid: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--iters", "0"], ["--lambda", "-1"]], ids=["iters", "lambda"])
     def test_bad_train_setting_rejected_before_any_file_is_read(self, tmp_path, flags):
         # train has no -a flag, so passing one would make a usage error of any case
@@ -308,6 +337,14 @@ class TestExperimentCommand:
         code = main(["experiment", "-s", src, "-t", tgt, "-a", ann,
                      "--strategies", "add-zipf", "-o", str(tmp_path / "exp")])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--strategies", "--objectives"])
+    def test_empty_name_list_rejected(self, tmp_path, capsys, flag):
+        src, tgt, ann = toy_paths()
+        out_dir = tmp_path / "exp"
+        assert main(["experiment", "-s", src, "-t", tgt, "-a", ann, flag, ",", "-o", str(out_dir)]) == 1
+        assert "error: need at least one strategy and one objective" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_decreasement_is_baseline_minus_tuned(self, tmp_path):
         out_dir = str(tmp_path / "exp")
@@ -412,6 +449,17 @@ class TestInputBytes:
         ann.write_bytes(bom + b"1 1 1 S\n1 2 2 S\n")
         assert main(["eval", "-s", src, "-t", tgt, "-m", model, "-a", str(ann)]) == 0
         assert "warning" not in capsys.readouterr().err
+
+    def test_model_with_a_leading_bom_aligns_the_same(self, tmp_path, capsys):
+        src, tgt, model = self.toy_model(tmp_path)
+        with_bom = tmp_path / "bom-model.tsv"
+        with_bom.write_bytes("\ufeff".encode() + pathlib.Path(model).read_bytes())
+        assert with_bom.read_bytes().startswith(b"\xef\xbb\xbf# ")
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        assert main(["align", "-s", src, "-t", tgt, "-m", model, "-o", str(plain)]) == 0
+        assert main(["align", "-s", src, "-t", tgt, "-m", str(with_bom), "-o", str(bom)]) == 0
+        assert bom.read_bytes() == plain.read_bytes()
+        assert capsys.readouterr().err == ""
 
     def test_source_null_token_is_rejected(self, tmp_path, capsys):
         src, tgt = self.files(tmp_path, b"a\n<NULL> a\n", b"x\ny\n")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from alignsmooth import (
@@ -49,6 +51,12 @@ class TestLoadParallelCorpus:
         src, tgt = write_corpus(tmp_path, "a\n\nb\n", "x\ny\nz\n")
         with pytest.raises(DataFormatError, match="line 2"):
             load_parallel_corpus(src, tgt)
+
+    @pytest.mark.parametrize("source,target", [([["a"], []], [["x"], ["y"]]), ([["a"], ["b"]], [[], ["y"]])],
+                             ids=["source", "target"])
+    def test_empty_sentence_rejected(self, source, target):
+        with pytest.raises(DataFormatError, match="sentences must contain at least one token"):
+            corpus_from_tokens(source, target)
 
     def test_empty_file(self, tmp_path):
         src, tgt = write_corpus(tmp_path, "", "")
@@ -133,6 +141,16 @@ class TestAnnotations:
         path = tmp_path / "ann.txt"
         path.write_text("1 9 1 S\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="record 1"):
+            load_annotations(str(path), t1_corpus())
+
+    @pytest.mark.parametrize("record,message", [
+        ("1 x 1 S", "record 1: non-integer position in '1 x 1 S'"),
+        ("1 1 3 S", "record 1: target position 3 out of range (target length 2)"),
+    ], ids=["non-integer", "target-out-of-range"])
+    def test_bad_position_names_the_record(self, tmp_path, record, message):
+        path = tmp_path / "ann.txt"
+        path.write_text(record + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(message)):
             load_annotations(str(path), t1_corpus())
 
     def test_out_of_range_pair_index(self, tmp_path):

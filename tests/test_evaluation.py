@@ -110,6 +110,12 @@ class TestEvaluateCorpus:
         assert report.precision == 1.0 and report.recall == 1.0
         assert report.error_count == 0
 
+    def test_empty_annotation_rejected(self):
+        corpus = t1_corpus()
+        table = train(corpus, TrainConfig(iterations=1)).table
+        with pytest.raises(ValueError, match="no pairs to evaluate"):
+            evaluate_corpus(table, corpus, {})
+
     def test_micro_average_sums_counts(self):
         corpus = t1_corpus()
         table = train(corpus, TrainConfig(iterations=1)).table

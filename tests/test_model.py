@@ -94,6 +94,14 @@ class TestLinkPosterior:
         posterior = link_posterior(corpus.pairs[0], table)
         assert posterior[0] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
+    @pytest.mark.parametrize("e,f,message", [(99, 0, "source token id 99 out of range"),
+                                             (0, 99, "target token id 99 out of range")], ids=["source", "target"])
+    def test_prob_of_an_id_out_of_range_raises(self, e, f, message):
+        corpus = t1_corpus()
+        table = uniform_init(corpus.source_vocab, corpus.target_vocab)
+        with pytest.raises(UnknownTokenError, match=message):
+            table.prob(e, f)
+
     def test_unknown_id_raises(self):
         corpus = t1_corpus()
         table = uniform_init(corpus.source_vocab, corpus.target_vocab)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -250,6 +251,15 @@ class TestObjectiveDispatch:
         assert Objective("smoothed-error-count", alpha=3.0).evaluate(dev, table) == (
             pytest.approx(smoothed_error_count(dev, table, alpha=3.0))
         )
+
+    @pytest.mark.parametrize("alignments,message", [
+        (((1,), (1, 2)), "gold alignment length must match target length"),
+        (((1, 3), (1, 2)), "gold alignment positions must lie in 0..l"),
+    ], ids=["length", "position"])
+    def test_devset_rejects_bad_gold(self, alignments, message):
+        corpus = t1_corpus()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DevSet(pairs=tuple(corpus.pairs), alignments=alignments)
 
     def test_devset_validation(self):
         corpus = t1_corpus()

@@ -70,6 +70,17 @@ class TestExpectationCounts:
         for e, row in enumerate(slots.rows):
             assert totals[e] == pytest.approx(sum(counts[s] for s in row.values()), abs=1e-9)
 
+    def test_empty_vocabulary_rejected(self):
+        corpus = t1_corpus()
+        with pytest.raises(ValueError, match="vocabularies must be non-empty"):
+            compile_corpus(ParallelCorpus(corpus.pairs, corpus.source_vocab, Vocabulary()))
+
+    def test_source_id_outside_the_vocabulary_raises(self):
+        small = t1_corpus()
+        pairs = [small.pairs[0], SentencePair((len(small.source_vocab),), (0,))]
+        with pytest.raises(UnknownTokenError, match="pair 2: source token id outside the vocabulary"):
+            train(ParallelCorpus(pairs, small.source_vocab, small.target_vocab))
+
     def test_vocabulary_mismatch_raises(self):
         small = t1_corpus()
         big = random_corpus(1, max_pairs=10, source_types=12, target_types=12)

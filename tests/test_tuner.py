@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,7 @@ from alignsmooth import (
     Objective,
     TrainConfig,
     TuneConfig,
+    TuneResult,
     TuningError,
     brent_minimize,
     corpus_from_tokens,
@@ -63,6 +66,10 @@ class TestBrentMinimize:
         lam, value = brent_minimize(lambda x: math.ceil(x), (0, 0.5, 2), tolerance=1e-6)
         assert 0 < lam <= 1
         assert value == 1
+
+    def test_reversed_bracket_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("invalid bracket (5, 1, 0)")):
+            brent_minimize(lambda x: (x - 2) ** 2, (5, 1, 0))
 
     def test_degenerate_bracket_returns_mid(self):
         lam, value = brent_minimize(lambda x: (x - 2) ** 2, (1, 2, 2), tolerance=1e-6)
@@ -135,8 +142,6 @@ class TestTuneConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TuneConfig(grid=(1.0, 0.5))
-        with pytest.raises(ValueError):
             TuneConfig(grid=(-1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             TuneConfig(tolerance=0.0)
@@ -182,6 +187,34 @@ class TestTune:
         args = (corpus, dev, Objective("smoothed-error-count"),
                 TrainConfig(iterations=3, strategy=strategy), small_tune_config())
         assert tune(*args) == tune(*args)
+
+    def test_grid_order_and_repeats_change_nothing(self):
+        corpus = t1_corpus()
+        dev = DevSet(pairs=tuple(corpus.pairs), alignments=((1, 2), (1, 2)))
+        config = TrainConfig(iterations=3, strategy=make_strategy("add-one", occurrence_stats(corpus)))
+        results = [tune(corpus, dev, Objective("smoothed-error-count"), config, replace(small_tune_config(), grid=grid))
+                   for grid in ((0.0, 0.1, 0.5, 1.0, 3.0), (3.0, 0.5, 0.1, 1.0), (1.0, 0.1, 3.0, 0.5, 1.0, 0.0))]
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_returns_what_search_scale_returns(self, monkeypatch):
+        import alignsmooth.tuner as tuner
+
+        returned = []
+
+        def recording_search(*args):
+            returned.append(real_search(*args))
+            return returned[-1]
+
+        real_search = tuner.search_scale
+        monkeypatch.setattr(tuner, "search_scale", recording_search)
+        corpus = t1_corpus()
+        config = TrainConfig(iterations=2, strategy=make_strategy("add-one", occurrence_stats(corpus)))
+        result = tune(corpus, DevSet.unannotated(corpus.pairs), Objective("ml-unannotated"), config,
+                      small_tune_config())
+        assert len(returned) == 1 and returned[0] is result and type(result) is TuneResult
+        lambda_star, objective_value, evaluations = result
+        assert (lambda_star, objective_value, evaluations) == (
+            result.lambda_star, result.objective_value, result.evaluations)
 
     def test_lambda_star_in_trace(self):
         corpus = t1_corpus()
@@ -234,10 +267,9 @@ class TestTune:
         impossible_pair = SentencePair((sv.words.index("b"),), (tv.words.index("x"),))
         impossible = DevSet(pairs=(impossible_pair,), alignments=((1,),))
         strategy = make_strategy("add-dice", occurrence_stats(corpus))
-        with pytest.raises(TuningError) as err:
+        with pytest.raises(TuningError):
             tune(corpus, impossible, Objective("ml-annotated"),
                  TrainConfig(iterations=2, strategy=strategy), small_tune_config())
-        assert len(err.value.evaluations) >= 1
 
     def test_tables_fill_then_replace_retrains(self, monkeypatch):
         import alignsmooth.tuner as tuner
