@@ -46,6 +46,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.strategies or not self.objectives:
             raise ValueError("need at least one strategy and one objective")
+        for kind, names in (("strategy", self.strategies), ("objective", self.objectives)):
+            if len(set(names)) < len(names):
+                raise ValueError(f"each {kind} may be named once, got {','.join(names)!r}")
         for name in self.strategies:
             if name not in STRATEGY_NAMES:
                 raise ValueError(f"unknown adding strategy {name!r}")

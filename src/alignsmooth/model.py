@@ -128,7 +128,8 @@ def write_table(table: TranslationTable, path, *, iterations, strategy, lam) -> 
     with a default, or as a 0.0 entry of the NULL row when no row has
     one, so the reloaded table keeps it in its vocabulary.
     The file is written whole beside ``path`` and then renamed onto it,
-    so a failed write leaves any earlier file as it was.
+    so a failed write leaves any earlier file as it was, and an error in
+    opening or renaming the partial file names ``path``.
     """
     meta = [
         ("source_vocab_size", len(table.source_vocab)),
@@ -154,9 +155,11 @@ def write_table(table: TranslationTable, path, *, iterations, strategy, lam) -> 
             for f in sorted(unnamed):
                 handle.write(f"{source_word(e)}\t{target_word(f)}\t{defaults.get(e, 0.0)!r}\n")
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as err:
         if os.path.exists(partial):
             os.remove(partial)
+        if isinstance(err, OSError) and err.filename == partial:  # name the file asked for
+            raise OSError(err.errno, err.strerror, path) from err
         raise
 
 

@@ -54,13 +54,17 @@ class TrainResult:
 class SlotCorpus:
     """A corpus compiled for EM: one slot per co-occurring (e, f), NULL included.
 
-    ``rows[e]`` maps each target id co-occurring with source id e to its
-    slot; a row's slots are contiguous and ascend with the target id, and
-    rows follow source id order.  ``pairs`` holds each sentence pair's
-    source ids, NULL first, and the slots of its links, (j, i) at j*(l+1)+i.
+    ``rows[e]`` is the ascending tuple of the target ids co-occurring with
+    source id e, the vocabulary's own int objects.  A row's slots are
+    contiguous in that order and rows follow source id order, so slot s of
+    row e is the row's start, the summed lengths of the rows before it,
+    plus the target's place in the row; no f -> slot map outlives
+    ``compile_corpus``.  ``pairs`` holds each sentence pair's source ids,
+    NULL first, and the slots of its links, (j, i) at j*(l+1)+i, in an
+    ``array('i')`` of 4 bytes per link.
     """
 
-    rows: list[dict[int, int]]
+    rows: list[tuple[int, ...]]
     pairs: list[tuple[tuple[int, ...], array]]
     slot_count: int
     target_size: int
@@ -81,12 +85,14 @@ def compile_corpus(corpus: ParallelCorpus) -> SlotCorpus:
         support[NULL_ID] |= targets
         for e in set(pair.source):
             support[e] |= targets
-    slot_ids = itertools.count()  # zip stops at the sorted targets before drawing an extra id
-    rows = [dict(zip(sorted(targets), slot_ids)) for targets in support]
+    rows = [tuple(sorted(targets)) for targets in support]
+    del support  # its sets would otherwise sit beside the slot dicts below
+    slot_ids = itertools.count()  # zip stops at the row before drawing an extra id
+    slot_of = [dict(zip(row, slot_ids)) for row in rows]  # dropped once the links are written
     pairs = []
     for pair in corpus.pairs:
         sources = (NULL_ID,) + pair.source
-        slot_rows = [rows[e] for e in sources]
+        slot_rows = [slot_of[e] for e in sources]
         pairs.append((sources, array("i", [row[f] for f in pair.target for row in slot_rows])))
     return SlotCorpus(rows, pairs, next(slot_ids), target_size)
 
@@ -140,7 +146,8 @@ def compile_strategy(slots: SlotCorpus, strategy: AddingStrategy) -> list[tuple]
         base, extras = strategy.base_weight(e), strategy.extra_weights(e)
         weight_sum = base * slots.target_size + math.fsum(extras.values())
         if extras:
-            outside = {f: g for f, g in extras.items() if f not in row}
+            inside = set(row)
+            outside = {f: g for f, g in extras.items() if f not in inside}
             compiled.append((base, weight_sum, [extras.get(f, 0.0) for f in row], outside))
         else:
             compiled.append((base, weight_sum, None, None))
@@ -235,7 +242,11 @@ def train(corpus: ParallelCorpus, config: TrainConfig | None = None,
     trace = [log_likelihood]
     estimate = maximize_smoothed(slots, counts, totals, weights, config.lam)
     for _ in range(config.iterations - 1):
-        counts, totals, log_likelihood = _estep(slots, estimate[0])
+        probs = estimate[0]
+        del counts, totals, estimate  # each list goes before the next of its kind is made
+        counts, totals, log_likelihood = _estep(slots, probs)
+        del probs
         trace.append(log_likelihood)
         estimate = maximize_smoothed(slots, counts, totals, weights, config.lam)
+    del counts, totals
     return TrainResult(build_table(corpus, slots, estimate), tuple(trace))

@@ -42,8 +42,8 @@ class TuneConfig:
             raise ValueError(f"grid candidates must be finite and non-negative, got {self.grid!r}")
         if len(set(self.grid) | {0.0}) < 3:
             raise ValueError(f"grid needs at least 3 points once 0 is added, got {self.grid!r}")
-        if not 0.0 < self.tolerance:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         if type(self.max_refine_evals) is not int or self.max_refine_evals < 0:
             raise ValueError(f"max_refine_evals must be a non-negative integer, got {self.max_refine_evals!r}")
 
@@ -159,7 +159,7 @@ def brent_minimize(f, bracket, tolerance: float = 1e-4, max_evals: int = 100) ->
 
 def search_scale(f, grid, maximize: bool = False, tolerance: float = 1e-4,
                  max_refine_evals: int = 100) -> TuneResult:
-    """Grid sweep plus refinement over a grid sorted ascending; returns the TuneResult.
+    """Grid sweep plus refinement over the grid's distinct points, ascending; returns the TuneResult.
 
     Every evaluation of f is memoized, and negated once when maximizing, so
     the grid and the refinement both minimize.  The winner is the first
@@ -173,7 +173,7 @@ def search_scale(f, grid, maximize: bool = False, tolerance: float = 1e-4,
             cache[x] = f(x)
         return -cache[x] if maximize else cache[x]
 
-    brent_minimize(signed, grid_bracket(signed, grid), tolerance, max_refine_evals)
+    brent_minimize(signed, grid_bracket(signed, sorted(set(grid))), tolerance, max_refine_evals)
     trace = tuple(sorted(cache.items()))
     best = min((lam for lam, value in trace if not math.isnan(value)), key=signed)
     return TuneResult(best, cache[best], trace)
@@ -207,7 +207,6 @@ def tune(
     tune_config = tune_config or TuneConfig()
     if objective.requires_annotation:
         dev.gold_pairs()  # refuses a set without gold before the first retrain
-    grid = sorted(set(tune_config.grid) | {0.0})
     session = session or TrainingSession(train_corpus)
 
     def score(lam: float) -> float:
@@ -219,5 +218,6 @@ def tune(
         return objective.evaluate(dev, table)
 
     return search_scale(
-        score, grid, objective.maximize, tune_config.tolerance, tune_config.max_refine_evals
+        score, (0.0, *tune_config.grid), objective.maximize, tune_config.tolerance,
+        tune_config.max_refine_evals,
     )

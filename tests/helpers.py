@@ -303,10 +303,19 @@ def kernel_steps(corpus, strategy, lam, iterations):
         yield totals, build_table(corpus, slots, estimate)
 
 
+def slot_maps(slots):
+    """Each row's target id -> slot map, from row order: a row's slots follow the rows before it."""
+    maps, start = [], 0
+    for row in slots.rows:
+        maps.append({f: start + k for k, f in enumerate(row)})
+        start += len(row)
+    return maps
+
+
 def slot_count(slots, counts, e, f):
     """Expected count of (e, f) from a per-slot count list; 0 off the support."""
-    slot = slots.rows[e].get(f)
-    return 0.0 if slot is None else counts[slot]
+    row = slots.rows[e]
+    return counts[sum(map(len, slots.rows[:e])) + row.index(f)] if f in row else 0.0
 
 
 def prob_posterior(pair, table):

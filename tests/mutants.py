@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 PROPERTY = "tests/test_experiment.py::test_experiment_equals_its_naive_orchestration"
 PARITY = "tests/test_kernel_parity.py::"
+MEMORY = "tests/test_trainer.py::test_training_holds_little_beside_the_table"
 
 MUTANTS = [
     Mutant(
@@ -103,16 +104,17 @@ MUTANTS = [
     Mutant(
         "tune leaves 0 out of the grid",
         "alignsmooth/tuner.py",
-        "grid = sorted(set(tune_config.grid) | {0.0})",
-        "grid = sorted(set(tune_config.grid))",
+        "score, (0.0, *tune_config.grid),",
+        "score, tune_config.grid,",
         ("tests/test_tuner.py::TestTune::test_zero_always_candidate", "tests/test_golden.py", PROPERTY),
     ),
     Mutant(
-        "tune keeps the grid in the order given",
+        "search_scale keeps the grid in the order given",
         "alignsmooth/tuner.py",
-        "grid = sorted(set(tune_config.grid) | {0.0})",
-        "grid = list(dict.fromkeys((0.0,) + tuple(tune_config.grid)))",
-        ("tests/test_cli.py::TestTuneCommand::test_grid_order_changes_no_byte", PROPERTY),
+        "grid_bracket(signed, sorted(set(grid)))",
+        "grid_bracket(signed, list(dict.fromkeys(grid)))",
+        ("tests/test_tuner.py::TestSearchScale::test_grid_in_any_order_with_repeats",
+         "tests/test_cli.py::TestTuneCommand::test_grid_order_changes_no_byte", PROPERTY),
     ),
     Mutant(
         "the final lambda* retrain made with the tuning slice's statistics",
@@ -120,6 +122,21 @@ MUTANTS = [
         "strategy = make_strategy(strategy_name, stats)",
         "strategy = make_strategy(strategy_name, tune_stats)",
         ("tests/test_experiment.py::test_final_retrain_uses_full_corpus_statistics", PROPERTY),
+    ),
+    Mutant(
+        "compiled rows kept as target id -> slot dicts",
+        "alignsmooth/trainer.py",
+        "return SlotCorpus(rows, pairs,",
+        "return SlotCorpus(slot_of, pairs,",
+        (MEMORY,
+         "tests/test_trainer.py::TestExpectationCounts::test_rows_are_ascending_target_tuples_of_the_support"),
+    ),
+    Mutant(
+        "the previous iteration's counts kept alive through the next E-step",
+        "alignsmooth/trainer.py",
+        "del counts, totals, estimate",
+        "del estimate",
+        (MEMORY,),
     ),
     Mutant(
         "models read without dropping a leading BOM",

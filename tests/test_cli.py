@@ -57,6 +57,13 @@ class TestTrainCommand:
         code = main(["train", "-s", "nope.txt", "-t", "nope2.txt", "-o", out])
         assert code == 2
 
+    def test_unwritable_model_names_the_path_asked_for(self, t1_files, tmp_path, capsys):
+        src, tgt = t1_files
+        out = str(tmp_path / "missing" / "m.tsv")
+        assert main(["train", "-s", src, "-t", tgt, "--iters", "1", "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["src.txt", "tgt.txt"]
+
 
 class TestAlignCommand:
     def model(self, t1_files, tmp_path, capsys, iters="1"):
@@ -265,13 +272,24 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["tune", "experiment"])
     @pytest.mark.parametrize("flags", [["--alpha", "0.5"], ["--iters", "0"], ["--grid", "0,1,inf"],
-                                       ["--grid", "0,1"], ["--dev-fraction", "0"], ["--dev-size", "0"]],
-                             ids=["alpha", "iters", "grid", "grid-points", "dev-fraction", "dev-size"])
+                                       ["--grid", "0,1"], ["--dev-fraction", "0"], ["--dev-size", "0"],
+                                       ["--tol", "inf"]],
+                             ids=["alpha", "iters", "grid", "grid-points", "dev-fraction", "dev-size", "tol"])
     def test_bad_setting_rejected_before_any_file_is_read(self, tmp_path, command, flags):
         # a missing file exits 2, so exit 1 shows the setting was checked first
         missing = str(tmp_path / "missing.txt")
         args = [command, "-s", missing, "-t", missing, "-a", missing, "-o", str(tmp_path / "out")]
         assert main(args + flags) == 1
+
+    @pytest.mark.parametrize("flag,names", [("--strategies", "add-one,add-dice,add-one"),
+                                            ("--objectives", "error-count,error-count")],
+                             ids=["strategies", "objectives"])
+    def test_repeated_name_rejected_before_any_file_is_read(self, tmp_path, capsys, flag, names):
+        # tune takes one strategy and one objective, so only experiment can repeat one
+        missing = str(tmp_path / "missing.txt")
+        args = ["experiment", "-s", missing, "-t", missing, "-a", missing, "-o", str(tmp_path / "out")]
+        assert main(args + [flag, names]) == 1
+        assert f"may be named once, got {names!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["tune", "experiment"])
     @pytest.mark.parametrize("grid,message", [("0,a,2", "bad grid '0,a,2'"), (",", "grid must not be empty")],

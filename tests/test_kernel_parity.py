@@ -40,6 +40,7 @@ from helpers import (
     prob_viterbi,
     random_corpus,
     slot_count,
+    slot_maps,
 )
 
 LAMBDAS = (0.0, 1e-4, 0.7, 5.0, 100.0)
@@ -161,7 +162,7 @@ def test_estep_both_branches_match_oracle(seed, zero_share, sliced):
     rng = random.Random(seed)
     probs = [0.0 if rng.random() < zero_share else rng.random() for _ in range(slots.slot_count)]
     counts, totals, log_likelihood = _estep(slots, probs)
-    rows = {e: {f: probs[s] for f, s in row.items()} for e, row in enumerate(slots.rows)}
+    rows = {e: {f: probs[s] for f, s in row.items()} for e, row in enumerate(slot_maps(slots))}
     table = TranslationTable(rows, {}, corpus.source_vocab, corpus.target_vocab)
     oracle_counts, oracle_totals, oracle_ll = dict_estep(corpus, table)
     assert log_likelihood == oracle_ll

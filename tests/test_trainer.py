@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,11 +16,13 @@ from alignsmooth import (
     train,
     viterbi_align,
 )
-from alignsmooth.corpus import ParallelCorpus, SentencePair, Vocabulary
+from alignsmooth.corpus import NULL_ID, ParallelCorpus, SentencePair, Vocabulary
 from alignsmooth.data import toy_paths
 from alignsmooth.trainer import _estep, build_table, compile_corpus, compile_strategy, maximize_smoothed
 
-from helpers import kernel_steps, random_corpus, reference_em, row_total, slot_count, t1_corpus, table_prob, NULL
+from helpers import (
+    kernel_steps, random_corpus, reference_em, row_total, slot_count, slot_maps, t1_corpus, table_prob, NULL,
+)
 
 
 def uniform_estep(corpus):
@@ -67,8 +70,19 @@ class TestExpectationCounts:
     def test_row_totals_match_row_sums(self, seed):
         corpus = random_corpus(seed, max_pairs=15)
         slots, counts, totals = uniform_estep(corpus)
-        for e, row in enumerate(slots.rows):
+        for e, row in enumerate(slot_maps(slots)):
             assert totals[e] == pytest.approx(sum(counts[s] for s in row.values()), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_are_ascending_target_tuples_of_the_support(self, seed):
+        corpus = random_corpus(seed, max_pairs=15)
+        slots = compile_corpus(corpus)
+        support = [set() for _ in corpus.source_vocab.words]
+        for pair in corpus.pairs:
+            for e in (NULL_ID,) + pair.source:
+                support[e].update(pair.target)
+        assert slots.rows == [tuple(sorted(targets)) for targets in support]
+        assert slots.slot_count == sum(map(len, slots.rows))
 
     def test_empty_vocabulary_rejected(self):
         corpus = t1_corpus()
@@ -120,7 +134,7 @@ class TestMaximizeSmoothed:
         # wipe one source word's counts to force the degenerate rule
         slots, counts, totals = t1_counts
         das = t1.source_vocab.words.index("das")
-        for s in slots.rows[das].values():
+        for s in slot_maps(slots)[das].values():
             counts[s] = 0.0
         totals[das] = 0.0
         weights = compile_strategy(slots, AddingStrategy())
@@ -205,6 +219,26 @@ class TestTrain:
     def test_iterations_must_be_an_int(self, iterations):
         with pytest.raises(ValueError, match="iterations must be an integer"):
             TrainConfig(iterations=iterations)
+
+
+def test_training_holds_little_beside_the_table():
+    # above the table it returns, train may hold the links (4 B each) and a
+    # few pointers per slot: the rows, one probability list and one count
+    # list at a time.  About 21 B per slot on Python 3.10-3.13; an f -> slot
+    # dict per row, or a second generation of counts, needs over 20 B more.
+    corpus = random_corpus(7, max_pairs=600, max_len=10, source_types=300, target_types=300)
+    strategy = make_strategy("add-one", occurrence_stats(corpus))
+    slots = compile_corpus(corpus)
+    slot_total, links = slots.slot_count, sum(len(slot_links) for _, slot_links in slots.pairs)
+    assert slot_total > 5000  # large enough that fixed costs are noise
+    del slots
+    tracemalloc.start()
+    try:
+        result = train(corpus, TrainConfig(3, 0.1, strategy))  # kept: the table counts in held
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 4 * links + 32 * slot_total
 
 
 def relabelled(corpus, seed):

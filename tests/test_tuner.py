@@ -119,6 +119,14 @@ class TestSearchScale:
         search_scale(f, grid, tolerance=1e-8, max_refine_evals=40)
         assert len(set(calls)) <= len(grid) + 40
 
+    def test_grid_in_any_order_with_repeats(self):
+        def f(x):
+            return (x - 1) ** 2
+
+        expected = search_scale(f, [0.0, 0.5, 1.0, 2.0])
+        assert search_scale(f, [0.0, 2.0, 1.0, 0.5]) == expected
+        assert search_scale(f, [2.0, 0.5, 0.0, 1.0, 0.5, 2.0]) == expected
+
     def test_maximize_ties_nan_and_unsigned_values(self):
         values = {0.0: math.nan, 1.0: 5.0, 2.0: 1.0, 3.0: 5.0, 4.0: 1.0}
         lam, value, trace = search_scale(values.__getitem__, sorted(values), maximize=True)
@@ -145,8 +153,9 @@ class TestTuneConfig:
             TuneConfig(grid=(-1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             TuneConfig(tolerance=0.0)
-        with pytest.raises(ValueError, match="tolerance"):
-            TuneConfig(tolerance=math.nan)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+                TuneConfig(tolerance=bad)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 TuneConfig(grid=(0.0, 1.0, bad))
