@@ -27,10 +27,10 @@ index; link positions keep the 1-based convention with 0 = NULL.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 
 from .errors import DataFormatError, UnknownTokenError
 
@@ -51,8 +51,14 @@ class Vocabulary:
     @classmethod
     def with_null(cls) -> "Vocabulary":
         """A source-side vocabulary with the NULL word reserved at id 0."""
+        return cls.from_ids({NULL_TOKEN: NULL_ID})
+
+    @classmethod
+    def from_ids(cls, word_to_id: dict[str, int]) -> "Vocabulary":
+        """A vocabulary that owns a word -> id dict whose ids run 0, 1, ... in insertion order."""
         vocab = cls()
-        vocab.add(NULL_TOKEN)
+        vocab._word_to_id = word_to_id
+        vocab._id_to_word = list(word_to_id)
         return vocab
 
     def add(self, word: str) -> int:
@@ -130,20 +136,46 @@ def read_lines(path) -> list[str]:
 
 
 def read_token_lines(path, lowercase: bool = False) -> list[list[str]]:
-    """Read one whitespace-tokenized sentence per line; reject empty lines."""
-    sentences = []
-    for number, line in enumerate(read_lines(path), start=1):
-        if lowercase:
-            line = line.lower()
-        tokens = line.split()
-        if not tokens:
-            raise DataFormatError(f"{path}: line {number} is empty")
-        sentences.append(tokens)
+    """Read one whitespace-tokenized sentence per line; reject empty lines.
+
+    Equal tokens are one ``str`` object, shared through one dict per call,
+    so a token costs its 8 B list slot and a word type one string: about
+    15 B a token with the list headers, where a fresh string per token
+    took about 66 B.
+    """
+    lines = read_lines(path)
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    sentences = [list(map(share, tokens, tokens))
+                 for tokens in map(str.split, map(str.lower, lines) if lowercase else lines)]
+    if not all(sentences):
+        raise DataFormatError(f"{path}: line {sentences.index([]) + 1} is empty")
     return sentences
 
 
-def corpus_from_tokens(source_sentences, target_sentences, source_name="source") -> ParallelCorpus:
-    """Build an indexed corpus from pre-tokenized sentence lists."""
+def check_line_words(number: int, src, tgt, source_name, target_name) -> None:
+    """Raise for the first word of one pair that no corpus may hold."""
+    if NULL_TOKEN in src:
+        raise DataFormatError(f"{source_name}: line {number}: {NULL_TOKEN} is reserved for the NULL word")
+    for name, sentence in ((source_name, src), (target_name, tgt)):
+        for word in sentence:
+            if word.split() != [word]:  # a model file holds words as whitespace-split tokens
+                raise DataFormatError(
+                    f"{name}: line {number}: a word must be one token without whitespace, got {word!r}")
+
+
+def corpus_from_tokens(source_sentences, target_sentences, source_name="source",
+                       target_name="target") -> ParallelCorpus:
+    """Build an indexed corpus from pre-tokenized sentence lists.
+
+    Ids follow first appearance, with NULL at source id 0.  Each sentence
+    is mapped in one C-level ``map`` over a ``defaultdict`` that numbers a
+    word at its first lookup, each vocabulary takes that dict over, and the
+    words are checked once per type, so Python loops per line and per type,
+    not per token.  An error names the side and the first line at fault; on
+    one line an empty sentence comes first, then ``<NULL>`` in the source,
+    then a word that is not one whitespace-free token.
+    """
     if len(source_sentences) != len(target_sentences):
         raise DataFormatError(
             "line count mismatch: source has "
@@ -151,27 +183,31 @@ def corpus_from_tokens(source_sentences, target_sentences, source_name="source")
         )
     if not source_sentences:
         raise DataFormatError("corpus is empty")
-    source_vocab = Vocabulary.with_null()
-    target_vocab = Vocabulary()
-    pairs = []
+    source_ids = defaultdict(count(NULL_ID + 1).__next__)
+    target_ids = defaultdict(count().__next__)
+    source_id, target_id = source_ids.__getitem__, target_ids.__getitem__
+    pairs = [
+        SentencePair(tuple(map(source_id, src)), tuple(map(target_id, tgt)))
+        for src, tgt in zip(source_sentences, target_sentences)
+    ]
+    words = [*source_ids, *target_ids]
+    # every word is one whitespace-free token exactly when re-splitting their join gives them back
+    faulty = NULL_TOKEN in source_ids or " ".join(words).split() != words
     for number, (src, tgt) in enumerate(zip(source_sentences, target_sentences), start=1):
         if not src or not tgt:
-            raise DataFormatError("sentences must contain at least one token")
-        if NULL_TOKEN in src:
-            raise DataFormatError(f"{source_name}: line {number}: {NULL_TOKEN} is reserved for the NULL word")
-        pairs.append(
-            SentencePair(
-                tuple(source_vocab.add(w) for w in src),
-                tuple(target_vocab.add(w) for w in tgt),
-            )
-        )
+            side = target_name if src else source_name
+            raise DataFormatError(f"{side}: line {number}: sentences must contain at least one token")
+        if faulty:
+            check_line_words(number, src, tgt, source_name, target_name)
+    source_vocab = Vocabulary.from_ids({NULL_TOKEN: NULL_ID, **source_ids})
+    target_vocab = Vocabulary.from_ids(dict(target_ids))
     return ParallelCorpus(pairs, source_vocab, target_vocab)
 
 
 def load_parallel_corpus(source_path, target_path, lowercase: bool = False) -> ParallelCorpus:
     source_sentences = read_token_lines(source_path, lowercase)
     target_sentences = read_token_lines(target_path, lowercase)
-    return corpus_from_tokens(source_sentences, target_sentences, source_path)
+    return corpus_from_tokens(source_sentences, target_sentences, source_path, target_path)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from alignsmooth import (
     split_annotated,
     split_unannotated,
 )
+from alignsmooth.corpus import ParallelCorpus, SentencePair, Vocabulary
 from alignsmooth.errors import DataFormatError, TuningError, UnknownTokenError
 from alignsmooth.experiment import CellResult
 from alignsmooth.model import float_sum
@@ -46,6 +47,31 @@ def random_corpus(seed, max_pairs=50, max_len=6, source_types=8, target_types=9)
         src.append([f"s{rng.randrange(source_types)}" for _ in range(rng.randint(1, max_len))])
         tgt.append([f"t{rng.randrange(target_types)}" for _ in range(rng.randint(1, max_len))])
     return corpus_from_tokens(src, tgt)
+
+
+def naive_corpus_from_tokens(source_sentences, target_sentences, source_name="source", target_name="target"):
+    """``corpus_from_tokens`` as a per-token loop: every check and every ``Vocabulary.add`` line by line."""
+    if len(source_sentences) != len(target_sentences):
+        raise DataFormatError(
+            f"line count mismatch: source has {len(source_sentences)} lines, target has {len(target_sentences)}")
+    if not source_sentences:
+        raise DataFormatError("corpus is empty")
+    source_vocab, target_vocab = Vocabulary(), Vocabulary()
+    source_vocab.add(NULL)
+    pairs = []
+    for number, (src, tgt) in enumerate(zip(source_sentences, target_sentences), start=1):
+        for name, sentence in ((source_name, src), (target_name, tgt)):
+            if not sentence:
+                raise DataFormatError(f"{name}: line {number}: sentences must contain at least one token")
+        if NULL in src:
+            raise DataFormatError(f"{source_name}: line {number}: {NULL} is reserved for the NULL word")
+        for name, sentence in ((source_name, src), (target_name, tgt)):
+            for word in sentence:
+                if len(word.split()) != 1 or word.split()[0] != word:
+                    raise DataFormatError(
+                        f"{name}: line {number}: a word must be one token without whitespace, got {word!r}")
+        pairs.append(SentencePair(tuple(source_vocab.add(w) for w in src), tuple(target_vocab.add(w) for w in tgt)))
+    return ParallelCorpus(pairs, source_vocab, target_vocab)
 
 
 def reference_em(src_sentences, tgt_sentences, iterations, add=0.0):

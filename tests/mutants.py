@@ -139,6 +139,20 @@ MUTANTS = [
         (MEMORY,),
     ),
     Mutant(
+        "each token kept as its own str, not shared per word type",
+        "alignsmooth/corpus.py",
+        "[list(map(share, tokens, tokens))",
+        "[tokens",
+        ("tests/test_corpus.py::TestReadTokenLines::test_equal_tokens_share_one_str",),
+    ),
+    Mutant(
+        "target vocabulary numbered in sorted order, not first appearance",
+        "alignsmooth/corpus.py",
+        "target_vocab = Vocabulary.from_ids(dict(target_ids))",
+        "target_vocab = Vocabulary.from_ids(dict(zip(sorted(target_ids), count())))",
+        ("tests/test_corpus.py::TestCorpusFromTokens::test_equals_a_per_token_vocabulary_loop",),
+    ),
+    Mutant(
         "models read without dropping a leading BOM",
         "alignsmooth/model.py",
         'open(path, encoding="utf-8-sig")',

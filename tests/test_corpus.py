@@ -1,6 +1,10 @@
+import random
 import re
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alignsmooth import (
     DataFormatError,
@@ -12,10 +16,19 @@ from alignsmooth import (
     split_annotated,
     split_unannotated,
 )
-from alignsmooth.corpus import NULL_ID, NULL_TOKEN, AnnotationEntry
+from alignsmooth.corpus import NULL_ID, NULL_TOKEN, AnnotationEntry, read_token_lines
 from alignsmooth.data import toy_paths
 
-from helpers import cooc_count, dict_cooc, ordered, random_corpus, record_cooc_counts, t1_corpus, tokens
+from helpers import (
+    cooc_count,
+    dict_cooc,
+    naive_corpus_from_tokens,
+    ordered,
+    random_corpus,
+    record_cooc_counts,
+    t1_corpus,
+    tokens,
+)
 
 
 def write_corpus(tmp_path, source_text, target_text):
@@ -52,11 +65,33 @@ class TestLoadParallelCorpus:
         with pytest.raises(DataFormatError, match="line 2"):
             load_parallel_corpus(src, tgt)
 
-    @pytest.mark.parametrize("source,target", [([["a"], []], [["x"], ["y"]]), ([["a"], ["b"]], [[], ["y"]])],
+    @pytest.mark.parametrize("source,target,side", [([["a"], []], [["x"], ["y"]], "source"),
+                                                    ([["a"], ["b"]], [["x"], []], "target")],
                              ids=["source", "target"])
-    def test_empty_sentence_rejected(self, source, target):
-        with pytest.raises(DataFormatError, match="sentences must contain at least one token"):
+    def test_empty_sentence_rejected(self, source, target, side):
+        with pytest.raises(DataFormatError, match="sentences must contain at least one token") as caught:
             corpus_from_tokens(source, target)
+        assert str(caught.value).startswith(f"{side}: line 2: ")
+
+    def test_empty_sentence_names_the_side_given(self):
+        with pytest.raises(DataFormatError, match="^corpus.en: line 2: sentences must"):
+            corpus_from_tokens([["a"], ["b"]], [["x"], []], "corpus.de", "corpus.en")
+
+    @pytest.mark.parametrize("word", ["", "x y", " x", "x\n", "a\u2028b"])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_word_a_model_file_cannot_hold_rejected(self, word, side):
+        good = [["a", "b"], ["b"]]
+        bad = [["x", word], ["x"]] if side == "source" else [["x"], ["x", word]]
+        source, target = (bad, good) if side == "source" else (good, bad)
+        line = 1 if side == "source" else 2
+        with pytest.raises(DataFormatError, match=f"^{side}: line {line}: a word must be one token") as caught:
+            corpus_from_tokens(source, target)
+        assert repr(word) in str(caught.value)
+
+    def test_empty_target_word_rejected_before_training(self):
+        # a model file cannot hold the empty word: written, this would read back with 2 target words, not 3
+        with pytest.raises(DataFormatError, match="^target: line 1: a word must be one token.*''"):
+            corpus_from_tokens([["a", "b"], ["b"]], [["x", ""], ["x y"]])
 
     def test_empty_file(self, tmp_path):
         src, tgt = write_corpus(tmp_path, "", "")
@@ -77,6 +112,81 @@ class TestLoadParallelCorpus:
         reloaded = load_parallel_corpus(src, tgt)
         assert [p.source for p in reloaded.pairs] == [p.source for p in corpus.pairs]
         assert [p.target for p in reloaded.pairs] == [p.target for p in corpus.pairs]
+
+
+class TestReadTokenLines:
+    def test_equal_tokens_share_one_str(self, tmp_path):
+        rng = random.Random(5)
+        lines = [" ".join(f"w{rng.randrange(300)}" for _ in range(rng.randint(3, 30))) for _ in range(2000)]
+        path = tmp_path / "source.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            sentences = read_token_lines(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sentences == [line.split() for line in lines]
+        tokens_read = sum(map(len, sentences))
+        assert tokens_read > 30000
+        # a list slot per token plus one str per type: about 15 B a token; a str per token makes it about 67 B
+        assert held <= 24 * tokens_read
+        first = {}
+        for sentence in sentences:
+            for token in sentence:
+                assert first.setdefault(token, token) is token
+
+
+good_words = st.sampled_from(["a", "b", "c"]) | st.text("ab\u00e9", min_size=1, max_size=2)
+target_words = good_words | st.just(NULL_TOKEN)  # NULL names no target word, so a target may hold it
+any_words = good_words | st.sampled_from(["", "x y", "\t", " a", NULL_TOKEN])
+
+
+def same_lines(pair_count, source_word, target_word, min_size):
+    """Equal line counts of sentences drawn from the given words."""
+    def sentences(word):
+        return st.lists(st.lists(word, min_size=min_size, max_size=6), min_size=pair_count, max_size=pair_count)
+
+    return st.tuples(sentences(source_word), sentences(target_word))
+
+
+def outcome(build, source, target):
+    try:
+        corpus = build(source, target, "src", "tgt")
+    except DataFormatError as err:
+        return str(err)
+    return corpus.source_vocab.words, corpus.target_vocab.words, corpus.pairs
+
+
+class TestCorpusFromTokens:
+    @given(st.integers(1, 8).flatmap(lambda n: same_lines(n, good_words, target_words, 1)))
+    def test_equals_a_per_token_vocabulary_loop(self, sentences):
+        got = corpus_from_tokens(*sentences)
+        want = naive_corpus_from_tokens(*sentences)
+        assert got.source_vocab.words == want.source_vocab.words
+        assert got.target_vocab.words == want.target_vocab.words
+        assert [got.source_vocab.get(w) for w in want.source_vocab.words] == list(range(len(want.source_vocab)))
+        assert got.pairs == want.pairs
+
+    @given(st.integers(0, 5).flatmap(lambda n: same_lines(n, any_words, any_words, 0)) |
+           st.tuples(st.lists(st.lists(good_words, min_size=1), max_size=3),
+                     st.lists(st.lists(good_words, min_size=1), max_size=3)))
+    def test_errors_come_as_a_per_token_loop_raises_them(self, sentences):
+        assert outcome(corpus_from_tokens, *sentences) == outcome(naive_corpus_from_tokens, *sentences)
+
+    @pytest.mark.parametrize("source,target,message", [
+        ([[]], [[], []], "line count mismatch"),
+        ([], [], "corpus is empty"),
+        ([["a", ""], []], [["x"], ["y"]], "src: line 1: a word must be one token"),
+        ([["a"], [NULL_TOKEN]], [["x"], ["y", ""]], f"src: line 2: {NULL_TOKEN} is reserved"),
+        ([["a"], [NULL_TOKEN]], [["x"], []], "tgt: line 2: sentences must contain at least one token"),
+        ([["a"], [NULL_TOKEN, "b c"]], [["x"], ["y"]], f"src: line 2: {NULL_TOKEN} is reserved"),
+    ], ids=["mismatch-before-empty-corpus", "empty-corpus", "first-bad-line", "null-before-bad-word",
+            "empty-before-null", "null-before-bad-word-on-its-side"])
+    def test_error_order(self, source, target, message):
+        for build in (corpus_from_tokens, naive_corpus_from_tokens):
+            with pytest.raises(DataFormatError, match=f"^{re.escape(message)}"):
+                build(source, target, "src", "tgt")
 
 
 class TestOccurrenceStats:
