@@ -28,7 +28,7 @@ from .experiment import ExperimentSpec, report_text, report_tsv, run_experiment,
 from .model import TranslationTable, read_table, viterbi_align, write_table
 from .objectives import OBJECTIVE_NAMES, Objective
 from .smoothing import STRATEGY_NAMES, AddingStrategy, make_strategy
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, TrainingSession, train
 from .tuner import DEFAULT_GRID, TuneConfig, tune
 
 
@@ -208,8 +208,10 @@ def cmd_tune(args) -> int:
         if args.dev_size is not None and args.dev_size < size:
             dev_annotation, _ = split_annotated(dev_annotation, args.dev_size, args.seed)
     train_corpus, dev = tuning_data(corpus, objective, dev_annotation, args.dev_fraction, args.seed)
-    strategy = make_strategy(args.strategy, occurrence_stats(train_corpus))
-    result = tune(train_corpus, dev, objective, replace(train_config, strategy=strategy), tune_config)
+    config = replace(train_config, strategy=make_strategy(args.strategy, occurrence_stats(train_corpus)))
+    session = TrainingSession(train_corpus)  # one compile and first E-step for every lambda
+    result = tune(lambda lam: train(train_corpus, replace(config, lam=lam), session).table, dev, objective,
+                  tune_config)
     lines = [
         f"strategy\t{args.strategy}",
         f"objective\t{args.objective}",

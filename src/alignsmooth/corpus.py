@@ -86,7 +86,7 @@ class Vocabulary:
         return tuple(self._id_to_word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentencePair:
     """One aligned sentence pair as token ids.
 
@@ -337,6 +337,9 @@ def split_annotated(annotation: dict[int, AnnotationEntry], k: int,
                     seed: int) -> tuple[dict, dict]:
     """Split annotated pairs into a k-pair dev set and the remaining test set."""
     indices = sorted(annotation)
+    if len(indices) < 2:
+        raise ValueError(f"a dev set and a test set need 2 annotated pairs or more; "
+                         f"the annotation file holds {len(indices)}")
     if not 0 < k < len(indices):
         raise ValueError(f"dev size must be in 1..{len(indices) - 1}, got {k}")
     shuffled = list(indices)

@@ -10,6 +10,7 @@ ignored and every strategy shares one table per corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .corpus import (
     check_dev_size,
@@ -95,7 +96,9 @@ def run_experiment(spec: ExperimentSpec):
     excluded from test scoring.
 
     Each training corpus has one ``TrainingSession`` for the whole run, so
-    it is compiled, and its first E-step run, once.
+    it is compiled, and its first E-step run, once.  One memo holds the
+    tables, keyed by (training corpus, strategy or None at lambda = 0,
+    lambda); a cell's ``tune`` and its lambda* table both read it.
     """
     corpus = load_parallel_corpus(spec.source_path, spec.target_path, spec.lowercase)
     annotation = load_annotations(spec.annotations_path, corpus)
@@ -105,48 +108,55 @@ def run_experiment(spec: ExperimentSpec):
     stats = occurrence_stats(corpus)
     session = TrainingSession(corpus)
     objectives = [Objective(name, spec.alpha) for name in spec.objectives]
-    # training corpus name -> (corpus, dev set, stats, session); a bad split fails before training
-    setups = {}
+    # training corpus name -> (corpus, stats, session); the full corpus trains every lambda* table
+    setups = {"full": (corpus, stats, session)}
+    devs = {}  # training corpus name -> dev set; a bad split fails before training
     for objective in objectives:
         corpus_name = "full" if objective.requires_annotation else "slice"
-        if corpus_name not in setups:
-            tune_corpus, dev = tuning_data(corpus, objective, dev_annotation, spec.dev_fraction, spec.seed)
-            if tune_corpus is corpus:
-                setups[corpus_name] = corpus, dev, stats, session
-            else:
-                setups[corpus_name] = tune_corpus, dev, occurrence_stats(tune_corpus), TrainingSession(tune_corpus)
+        if corpus_name not in devs:
+            tune_corpus, devs[corpus_name] = tuning_data(corpus, objective, dev_annotation, spec.dev_fraction,
+                                                         spec.seed)
+            if tune_corpus is not corpus:
+                setups[corpus_name] = tune_corpus, occurrence_stats(tune_corpus), TrainingSession(tune_corpus)
     config = TrainConfig(spec.iterations)
     baseline = train(corpus, config, session)
     baseline_report = evaluate_corpus(baseline.table, corpus, test_annotation)
 
-    # training corpus name -> lambda -> table
-    tables = {"full": {0.0: baseline.table}}
+    tables = {("full", None, 0.0): baseline.table}
+    strategies = {}  # training corpus name -> the current strategy, built at first use
+
+    def table_at(corpus_name: str, strategy_name: str, lam: float):
+        key = (corpus_name, strategy_name if lam > 0 else None, lam)
+        if key not in tables:
+            train_corpus, train_stats, train_session = setups[corpus_name]
+            if corpus_name not in strategies:
+                strategies[corpus_name] = make_strategy(strategy_name, train_stats)
+            config_at = replace(config, lam=lam, strategy=strategies[corpus_name])
+            tables[key] = train(train_corpus, config_at, train_session).table
+        return tables[key]
 
     cells = []
     for strategy_name in spec.strategies:
-        # lambda = 0 ignores the strategy, so only those tables carry over
-        tables = {name: {0.0: by_lambda[0.0]} for name, by_lambda in tables.items() if 0.0 in by_lambda}
         for objective in objectives:
             cell = CellResult(strategy_name, objective.name)
             cells.append(cell)
             try:
                 corpus_name = "full" if objective.requires_annotation else "slice"
-                tune_corpus, dev, tune_stats, tune_session = setups[corpus_name]
-                strategy = make_strategy(strategy_name, tune_stats)
-                result = tune(tune_corpus, dev, objective, replace(config, strategy=strategy),
-                              spec.tune_config, tables.setdefault(corpus_name, {}), tune_session)
-                lam = result.lambda_star
-                if lam not in tables["full"]:
-                    strategy = make_strategy(strategy_name, stats)
-                    tables["full"][lam] = train(corpus, replace(config, lam=lam, strategy=strategy), session).table
-                report = evaluate_corpus(tables["full"][lam], corpus, test_annotation)
-                cell.lam = lam
+                result = tune(partial(table_at, corpus_name, strategy_name), devs[corpus_name], objective,
+                              spec.tune_config)
+                report = evaluate_corpus(table_at("full", strategy_name, result.lambda_star), corpus,
+                                         test_annotation)
+                cell.lam = result.lambda_star
                 cell.aer = report.aer
                 cell.error_count = report.error_count
                 cell.decrease = baseline_report.aer - report.aer
             except (TuningError, DataFormatError, UnknownTokenError, ValueError) as err:
                 cell.status = "failed"
                 cell.reason = str(err)
+        # lambda = 0 ignores the strategy, so only those tables carry over to the next one
+        for key in [key for key in tables if key[1] == strategy_name]:
+            del tables[key]
+        strategies.clear()
     return baseline_report, cells
 
 

@@ -61,6 +61,9 @@ class DevSet:
                          annotation: dict[int, AnnotationEntry]) -> "DevSet":
         """Annotated dev set over every pair the annotation covers."""
         indices = sorted(annotation)
+        for i in indices:
+            if not 0 <= i < len(corpus.pairs):
+                raise ValueError(f"annotation index {i} is not a pair of the corpus, 0..{len(corpus.pairs) - 1}")
         pairs = tuple(corpus.pairs[i] for i in indices)
         alignments = tuple(
             adapt_annotation(annotation[i], len(pair.target)) for i, pair in zip(indices, pairs)

@@ -16,14 +16,14 @@ count exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .corpus import ParallelCorpus
 from .errors import TuningError
-from .model import TranslationTable
 from .objectives import DevSet, Objective
-from .trainer import TrainConfig, TrainingSession, train
+# tune never trains; the name stays bound because bench/test_bench.py checks
+# that the tracing hooks rebind ``tuner.train`` and restore it
+from .trainer import train  # noqa: F401
 
 # (3 - sqrt(5)) / 2, the golden-section step fraction
 _GOLDEN = 0.3819660112501051
@@ -179,45 +179,21 @@ def search_scale(f, grid, maximize: bool = False, tolerance: float = 1e-4,
     return TuneResult(best, cache[best], trace)
 
 
-def tune(
-    train_corpus: ParallelCorpus,
-    dev: DevSet,
-    objective: Objective,
-    train_config: TrainConfig,
-    tune_config: TuneConfig | None = None,
-    tables: dict[float, TranslationTable] | None = None,
-    session: TrainingSession | None = None,
-) -> TuneResult:
+def tune(retrain, dev: DevSet, objective: Objective, tune_config: TuneConfig | None = None) -> TuneResult:
     """Pick the scale lambda optimizing the objective on development data.
 
-    Each candidate lambda triggers a full retrain on the training corpus
-    with ``train_config`` at that lambda, its adding strategy included;
-    lambda = 0 is always among the candidates, so the tuned result is
-    never worse on the development data than the unsmoothed baseline.
-
-    The retrains share one ``TrainingSession``: the corpus is compiled,
-    and the first E-step run, once per call rather than once per lambda.
-    A caller that tunes the same corpus again may pass its own ``session``
-    for that corpus, so the work is done once across calls too.
-
-    ``tables`` optionally maps lambda to a table already trained on this
-    corpus with this train config; a candidate found there is not
-    retrained, and every retrain is stored into it.
+    ``retrain(lam)`` returns the table trained at lambda, such as
+    ``lambda lam: train(corpus, replace(config, lam=lam), session).table``
+    over one ``TrainingSession``; ``tune`` scores it on ``dev`` and asks
+    for each distinct candidate once.  Lambda = 0 is always among the
+    candidates, so the tuned result is never worse on the development
+    data than the unsmoothed baseline.  The caller owns training: its
+    corpus, adding strategy, session and any memo of tables.
     """
     tune_config = tune_config or TuneConfig()
     if objective.requires_annotation:
         dev.gold_pairs()  # refuses a set without gold before the first retrain
-    session = session or TrainingSession(train_corpus)
-
-    def score(lam: float) -> float:
-        table = tables.get(lam) if tables is not None else None
-        if table is None:
-            table = train(train_corpus, replace(train_config, lam=lam), session).table
-            if tables is not None:
-                tables[lam] = table
-        return objective.evaluate(dev, table)
-
     return search_scale(
-        score, (0.0, *tune_config.grid), objective.maximize, tune_config.tolerance,
-        tune_config.max_refine_evals,
+        lambda lam: objective.evaluate(dev, retrain(lam)), (0.0, *tune_config.grid), objective.maximize,
+        tune_config.tolerance, tune_config.max_refine_evals,
     )

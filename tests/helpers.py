@@ -3,6 +3,7 @@
 import math
 import os
 import random
+from dataclasses import replace
 
 from alignsmooth import (
     NULL_ID,
@@ -11,6 +12,7 @@ from alignsmooth import (
     Objective,
     OccurrenceStats,
     TrainConfig,
+    TrainingSession,
     TranslationTable,
     corpus_from_tokens,
     evaluate_corpus,
@@ -21,6 +23,7 @@ from alignsmooth import (
     search_scale,
     split_annotated,
     split_unannotated,
+    train,
 )
 from alignsmooth.corpus import ParallelCorpus, SentencePair, Vocabulary
 from alignsmooth.errors import DataFormatError, TuningError, UnknownTokenError
@@ -29,6 +32,12 @@ from alignsmooth.model import float_sum
 from alignsmooth.trainer import _estep, build_table, compile_corpus, compile_strategy, maximize_smoothed
 
 NULL = "<NULL>"
+
+
+def retrain_on(corpus, config):
+    """A ``tune`` retrain: the table ``train`` gives at each lambda, over one session for the corpus."""
+    session = TrainingSession(corpus)
+    return lambda lam: train(corpus, replace(config, lam=lam), session).table
 
 
 def t1_corpus():

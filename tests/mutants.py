@@ -90,22 +90,43 @@ MUTANTS = [
     Mutant(
         "lambda = 0 not seeded between strategies",
         "alignsmooth/experiment.py",
-        "tables = {name: {0.0: by_lambda[0.0]} for name, by_lambda in tables.items() if 0.0 in by_lambda}",
-        "tables = {name: {} for name in tables}",
+        "for key in [key for key in tables if key[1] == strategy_name]:",
+        "for key in list(tables):",
         ("tests/test_experiment.py::test_each_key_trained_once",),
     ),
     Mutant(
         "a memo that carries another strategy's tables at lambda > 0",
         "alignsmooth/experiment.py",
-        "tables = {name: {0.0: by_lambda[0.0]} for name, by_lambda in tables.items() if 0.0 in by_lambda}",
-        "tables = {name: dict(by_lambda) for name, by_lambda in tables.items()}",
+        "key = (corpus_name, strategy_name if lam > 0 else None, lam)",
+        "key = (corpus_name, None, lam)",
         ("tests/test_experiment.py::test_cells_equal_uncached_tuning", PROPERTY),
+    ),
+    Mutant(
+        "memo key keeps the strategy at lambda = 0",
+        "alignsmooth/experiment.py",
+        "key = (corpus_name, strategy_name if lam > 0 else None, lam)",
+        "key = (corpus_name, strategy_name, lam)",
+        ("tests/test_experiment.py::test_each_key_trained_once",),
+    ),
+    Mutant(
+        "strategy rebuilt per retrain",
+        "alignsmooth/experiment.py",
+        "if corpus_name not in strategies:",
+        "if True:",
+        ("tests/test_experiment.py::test_each_strategy_built_once_per_training_corpus",),
+    ),
+    Mutant(
+        "alignsmooth tune retrains without its session",
+        "alignsmooth/cli.py",
+        "train(train_corpus, replace(config, lam=lam), session).table",
+        "train(train_corpus, replace(config, lam=lam)).table",
+        ("tests/test_tuner.py::test_one_tune_runs_the_first_estep_once",),
     ),
     Mutant(
         "tune leaves 0 out of the grid",
         "alignsmooth/tuner.py",
-        "score, (0.0, *tune_config.grid),",
-        "score, tune_config.grid,",
+        "(0.0, *tune_config.grid), objective.maximize,",
+        "tune_config.grid, objective.maximize,",
         ("tests/test_tuner.py::TestTune::test_zero_always_candidate", "tests/test_golden.py", PROPERTY),
     ),
     Mutant(
@@ -119,8 +140,8 @@ MUTANTS = [
     Mutant(
         "the final lambda* retrain made with the tuning slice's statistics",
         "alignsmooth/experiment.py",
-        "strategy = make_strategy(strategy_name, stats)",
-        "strategy = make_strategy(strategy_name, tune_stats)",
+        "strategy=strategies[corpus_name])",
+        "strategy=next(iter(strategies.values())))",
         ("tests/test_experiment.py::test_final_retrain_uses_full_corpus_statistics", PROPERTY),
     ),
     Mutant(
@@ -151,6 +172,13 @@ MUTANTS = [
         "target_vocab = Vocabulary.from_ids(dict(target_ids))",
         "target_vocab = Vocabulary.from_ids(dict(zip(sorted(target_ids), count())))",
         ("tests/test_corpus.py::TestCorpusFromTokens::test_equals_a_per_token_vocabulary_loop",),
+    ),
+    Mutant(
+        "sentence pairs with a __dict__, not slots",
+        "alignsmooth/corpus.py",
+        "@dataclass(frozen=True, slots=True)\nclass SentencePair:",
+        "@dataclass(frozen=True)\nclass SentencePair:",
+        ("tests/test_corpus.py::TestSentencePair::test_a_pair_holds_no_instance_dict",),
     ),
     Mutant(
         "models read without dropping a leading BOM",

@@ -43,6 +43,7 @@ from helpers import (
     log_posterior,
     random_corpus,
     reference_em,
+    retrain_on,
     row_total,
     t1_corpus,
     table_prob,
@@ -248,8 +249,8 @@ def test_garbage_collector_mitigation():
     assert baseline_stolen > 0  # the construction must exhibit the effect
 
     strategy = make_strategy("add-one", occurrence_stats(corpus))
-    result = tune(corpus, dev, Objective("smoothed-error-count"),
-                  TrainConfig(iterations=10, strategy=strategy), TuneConfig())
+    result = tune(retrain_on(corpus, TrainConfig(iterations=10, strategy=strategy)), dev,
+                  Objective("smoothed-error-count"), TuneConfig())
     tuned = train(corpus, TrainConfig(10, result.lambda_star, strategy)).table
     tuned_alignment = viterbi_align(singleton_pair, tuned)
     tuned_errors = alignment_error_count(dev, tuned)

@@ -364,6 +364,18 @@ class TestExperimentCommand:
         assert "error: need at least one strategy and one objective" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_one_annotated_pair_is_refused_before_training(self, tmp_path, capsys):
+        paths = {"src.txt": "das haus\ndas buch\nein buch\n", "tgt.txt": "the house\nthe book\na book\n",
+                 "ann.txt": "1 1 1 S\n1 2 2 S\n"}
+        for name, text in paths.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        src, tgt, ann = (str(tmp_path / name) for name in paths)
+        out_dir = tmp_path / "exp"
+        assert main(["experiment", "-s", src, "-t", tgt, "-a", ann, "-o", str(out_dir)]) == 1
+        assert capsys.readouterr().err == ("error: a dev set and a test set need 2 annotated pairs or more; "
+                                           "the annotation file holds 1\n")
+        assert not out_dir.exists()
+
     def test_decreasement_is_baseline_minus_tuned(self, tmp_path):
         out_dir = str(tmp_path / "exp")
         assert self.run_small(out_dir) == 0

@@ -1,6 +1,9 @@
+import pickle
 import random
 import re
 import tracemalloc
+from copy import deepcopy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -16,7 +19,7 @@ from alignsmooth import (
     split_annotated,
     split_unannotated,
 )
-from alignsmooth.corpus import NULL_ID, NULL_TOKEN, AnnotationEntry, read_token_lines
+from alignsmooth.corpus import NULL_ID, NULL_TOKEN, AnnotationEntry, SentencePair, read_token_lines
 from alignsmooth.data import toy_paths
 
 from helpers import (
@@ -135,6 +138,29 @@ class TestReadTokenLines:
         for sentence in sentences:
             for token in sentence:
                 assert first.setdefault(token, token) is token
+
+
+class TestSentencePair:
+    def test_a_pair_holds_no_instance_dict(self):
+        source, target = (1, 2), (3,)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pairs = [SentencePair(source, target) for _ in range(5000)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert not hasattr(pairs[0], "__dict__")
+        # about 56 B a slotted pair with its list slot, and 97 B with a __dict__ (Python 3.11)
+        assert held <= 72 * len(pairs)
+
+    def test_copies_compare_and_hash_equal(self):
+        pair = SentencePair((1, 2), (3,))
+        for copy in (pickle.loads(pickle.dumps(pair)), deepcopy(pair), replace(pair)):
+            assert copy == pair and hash(copy) == hash(pair)
+        assert replace(pair, target=(4,)) == SentencePair((1, 2), (4,))
+        with pytest.raises(AttributeError):
+            pair.source = (2,)
 
 
 good_words = st.sampled_from(["a", "b", "c"]) | st.text("ab\u00e9", min_size=1, max_size=2)

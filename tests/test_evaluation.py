@@ -116,6 +116,16 @@ class TestEvaluateCorpus:
         with pytest.raises(ValueError, match="no pairs to evaluate"):
             evaluate_corpus(table, corpus, {})
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_the_corpus_rejected(self, index):
+        corpus = t1_corpus()
+        table = train(corpus, TrainConfig(iterations=1)).table
+        entry = annotation_for(corpus, {0: ({(1, 1)}, set())})[0]
+        with pytest.raises(ValueError, match=rf"^annotation index {index} is not a pair of the corpus, 0\.\.1$"):
+            evaluate_corpus(table, corpus, {index: entry})
+        with pytest.raises(ValueError, match=rf"annotation index {index} "):
+            DevSet.from_annotations(corpus, {0: entry, index: entry})
+
     def test_micro_average_sums_counts(self):
         corpus = t1_corpus()
         table = train(corpus, TrainConfig(iterations=1)).table

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import alignsmooth.experiment as experiment
 import alignsmooth.trainer as trainer
-import alignsmooth.tuner as tuner
 from alignsmooth import (
     DevSet,
     Objective,
@@ -30,7 +29,7 @@ from alignsmooth import (
 from alignsmooth.data import toy_paths
 from alignsmooth.experiment import ExperimentSpec, report_tsv, run_experiment
 
-from helpers import naive_experiment, random_corpus, record_cooc_counts, write_experiment_files
+from helpers import naive_experiment, random_corpus, record_cooc_counts, retrain_on, write_experiment_files
 
 ITERATIONS = 3
 
@@ -58,11 +57,51 @@ def test_each_key_trained_once(spec, monkeypatch):
         return train(corpus, config, session)
 
     monkeypatch.setattr(experiment, "train", counting_train)
-    monkeypatch.setattr(tuner, "train", counting_train)
     _, cells = run_experiment(spec)
     assert [cell.status for cell in cells] == ["ok"] * 6
     assert len(keys) == len(set(keys))
     assert len({corpus for corpus, _, _ in keys}) == 2  # the full corpus and the tuning slice
+
+
+def test_each_strategy_built_once_per_training_corpus(spec, monkeypatch):
+    built = []
+
+    def recording_make(name, stats):
+        built.append((name, id(stats)))
+        return make_strategy(name, stats)
+
+    monkeypatch.setattr(experiment, "make_strategy", recording_make)
+    made = recording_stats(monkeypatch)
+    _, cells = run_experiment(spec)
+    assert [cell.status for cell in cells] == ["ok"] * 6
+    assert sorted(built) == sorted((name, id(stats)) for name in spec.strategies for stats in made)
+
+
+def test_annotated_cell_scores_the_table_its_tune_chose(spec, monkeypatch):
+    chosen, evaluated = [], []
+
+    def recording_tune(retrain, dev, objective, tune_config=None):
+        scored = {}
+
+        def recording(lam):
+            scored[lam] = retrain(lam)
+            return scored[lam]
+
+        result = tune(recording, dev, objective, tune_config)
+        chosen.append((objective.requires_annotation, scored[result.lambda_star]))
+        return result
+
+    def recording_evaluate(table, *args, **kwargs):
+        evaluated.append(table)
+        return evaluate_corpus(table, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "tune", recording_tune)
+    monkeypatch.setattr(experiment, "evaluate_corpus", recording_evaluate)
+    _, cells = run_experiment(spec)
+    assert [cell.status for cell in cells] == ["ok"] * 6
+    assert len(evaluated) == 1 + len(chosen)  # the baseline, then one lambda* table per cell
+    annotated = [(table, final) for (needs_gold, table), final in zip(chosen, evaluated[1:]) if needs_gold]
+    assert len(annotated) == 4 and all(table is final for table, final in annotated)
 
 
 def test_cells_equal_uncached_tuning(spec):
@@ -83,7 +122,7 @@ def test_cells_equal_uncached_tuning(spec):
         else:
             tune_corpus, dev = train_part, DevSet.unannotated(dev_part.pairs)
         strategy = make_strategy(cell.strategy, occurrence_stats(tune_corpus))
-        result = tune(tune_corpus, dev, objective, TrainConfig(ITERATIONS, strategy=strategy),
+        result = tune(retrain_on(tune_corpus, TrainConfig(ITERATIONS, strategy=strategy)), dev, objective,
                       spec.tune_config)
         final = make_strategy(cell.strategy, occurrence_stats(corpus))
         table = train(corpus, TrainConfig(ITERATIONS, result.lambda_star, final)).table
@@ -112,23 +151,24 @@ def test_final_retrain_uses_full_corpus_statistics(tmp_path, monkeypatch):
     name, objective = "add-source-count", Objective("ml-unannotated")
     spec = ExperimentSpec(*paths, strategies=(name,), objectives=(objective.name,), iterations=ITERATIONS,
                           dev_fraction=0.5, tune_config=TuneConfig(grid=(0.0, 0.5, 2.0)))
-    full_trains = []
+    trains = []
 
     def recording_train(corpus, config, session=None):
-        full_trains.append(config.lam)
+        trains.append((corpus, config.lam))
         return train(corpus, config, session)
 
     monkeypatch.setattr(experiment, "train", recording_train)
     _, (cell,) = run_experiment(spec)
     assert cell.status == "ok" and cell.lam > 0.0
-    assert full_trains == [0.0, cell.lam]  # the baseline, then the lambda* retrain
+    full = trains[0][0]  # the baseline's; every other train of it is a lambda* retrain
+    assert [lam for trained, lam in trains if trained is full] == [0.0, cell.lam]
 
     corpus = load_parallel_corpus(*paths[:2])
     train_part, dev_part = split_unannotated(corpus, spec.dev_fraction, spec.seed)
     dev = DevSet.unannotated(dev_part.pairs)
     assert objective.evaluate(dev, train(train_part, TrainConfig(ITERATIONS)).table) == float("-inf")
     slice_config = TrainConfig(ITERATIONS, strategy=make_strategy(name, occurrence_stats(train_part)))
-    assert cell.lam == tune(train_part, dev, objective, slice_config, spec.tune_config).lambda_star
+    assert cell.lam == tune(retrain_on(train_part, slice_config), dev, objective, spec.tune_config).lambda_star
     annotation = load_annotations(paths[2], corpus)
     _, test_annotation = split_annotated(annotation, len(annotation) // 3, spec.seed)
     final = TrainConfig(ITERATIONS, cell.lam, make_strategy(name, occurrence_stats(corpus)))

@@ -15,7 +15,6 @@ from alignsmooth import (
     brent_minimize,
     corpus_from_tokens,
     grid_bracket,
-    load_parallel_corpus,
     make_strategy,
     occurrence_stats,
     search_scale,
@@ -23,7 +22,7 @@ from alignsmooth import (
 )
 from alignsmooth.data import toy_paths
 
-from helpers import record_cooc_counts, t1_corpus
+from helpers import record_cooc_counts, retrain_on, t1_corpus
 
 
 class TestGridBracket:
@@ -177,33 +176,59 @@ def small_tune_config():
     return TuneConfig(grid=(0.0, 0.1, 0.5, 1.0, 3.0), tolerance=1e-3, max_refine_evals=25)
 
 
+def add_one_retrain(corpus, iterations=3):
+    return retrain_on(corpus, TrainConfig(iterations, strategy=make_strategy("add-one", occurrence_stats(corpus))))
+
+
 class TestTune:
     def test_never_worse_than_unsmoothed(self):
         corpus = t1_corpus()
         dev = DevSet(pairs=tuple(corpus.pairs), alignments=((1, 2), (1, 2)))
-        strategy = make_strategy("add-one", occurrence_stats(corpus))
-        result = tune(
-            corpus, dev, Objective("error-count"),
-            TrainConfig(iterations=3, strategy=strategy), small_tune_config(),
-        )
+        result = tune(add_one_retrain(corpus), dev, Objective("error-count"), small_tune_config())
         at_zero = dict(result.evaluations)[0.0]
         assert result.objective_value <= at_zero
 
     def test_deterministic(self):
         corpus = t1_corpus()
         dev = DevSet(pairs=tuple(corpus.pairs), alignments=((1, 2), (1, 2)))
-        strategy = make_strategy("add-one", occurrence_stats(corpus))
-        args = (corpus, dev, Objective("smoothed-error-count"),
-                TrainConfig(iterations=3, strategy=strategy), small_tune_config())
-        assert tune(*args) == tune(*args)
+        objective = Objective("smoothed-error-count")
+        assert (tune(add_one_retrain(corpus), dev, objective, small_tune_config())
+                == tune(add_one_retrain(corpus), dev, objective, small_tune_config()))
 
     def test_grid_order_and_repeats_change_nothing(self):
         corpus = t1_corpus()
         dev = DevSet(pairs=tuple(corpus.pairs), alignments=((1, 2), (1, 2)))
-        config = TrainConfig(iterations=3, strategy=make_strategy("add-one", occurrence_stats(corpus)))
-        results = [tune(corpus, dev, Objective("smoothed-error-count"), config, replace(small_tune_config(), grid=grid))
+        retrain = add_one_retrain(corpus)
+        results = [tune(retrain, dev, Objective("smoothed-error-count"), replace(small_tune_config(), grid=grid))
                    for grid in ((0.0, 0.1, 0.5, 1.0, 3.0), (3.0, 0.5, 0.1, 1.0), (1.0, 0.1, 3.0, 0.5, 1.0, 0.0))]
         assert results[1] == results[0] and results[2] == results[0]
+
+    def test_asks_for_each_distinct_candidate_once(self):
+        corpus = t1_corpus()
+        dev = DevSet(pairs=tuple(corpus.pairs), alignments=((1, 2), (1, 2)))
+        asked, real = [], add_one_retrain(corpus)
+
+        def retrain(lam):
+            asked.append(lam)
+            return real(lam)
+
+        grid = (3.0, 0.5, 0.1, 3.0, 1.0, 0.5)  # unsorted, with repeats, and without 0
+        result = tune(retrain, dev, Objective("smoothed-error-count"), replace(small_tune_config(), grid=grid))
+        assert len(asked) == len(set(asked)) == len(result.evaluations)
+        assert set(asked) == {lam for lam, _ in result.evaluations} >= {0.0, *grid}
+
+    def test_a_memo_outside_tune_changes_nothing(self):
+        corpus = t1_corpus()
+        dev = DevSet.unannotated(corpus.pairs)
+        tables, real = {}, add_one_retrain(corpus)
+
+        def filling(lam):
+            tables[lam] = real(lam)
+            return tables[lam]
+
+        plain = tune(filling, dev, Objective("ml-unannotated"), small_tune_config())
+        assert set(tables) == {lam for lam, _ in plain.evaluations}
+        assert tune(tables.__getitem__, dev, Objective("ml-unannotated"), small_tune_config()) == plain
 
     def test_returns_what_search_scale_returns(self, monkeypatch):
         import alignsmooth.tuner as tuner
@@ -217,8 +242,7 @@ class TestTune:
         real_search = tuner.search_scale
         monkeypatch.setattr(tuner, "search_scale", recording_search)
         corpus = t1_corpus()
-        config = TrainConfig(iterations=2, strategy=make_strategy("add-one", occurrence_stats(corpus)))
-        result = tune(corpus, DevSet.unannotated(corpus.pairs), Objective("ml-unannotated"), config,
+        result = tune(add_one_retrain(corpus, 2), DevSet.unannotated(corpus.pairs), Objective("ml-unannotated"),
                       small_tune_config())
         assert len(returned) == 1 and returned[0] is result and type(result) is TuneResult
         lambda_star, objective_value, evaluations = result
@@ -228,43 +252,31 @@ class TestTune:
     def test_lambda_star_in_trace(self):
         corpus = t1_corpus()
         dev = DevSet.unannotated(corpus.pairs)
-        strategy = make_strategy("add-one", occurrence_stats(corpus))
-        result = tune(
-            corpus, dev, Objective("ml-unannotated"),
-            TrainConfig(iterations=3, strategy=strategy), small_tune_config(),
-        )
+        result = tune(add_one_retrain(corpus), dev, Objective("ml-unannotated"), small_tune_config())
         assert result.lambda_star in {lam for lam, _ in result.evaluations}
 
     def test_zero_always_candidate(self):
         corpus = t1_corpus()
         dev = DevSet.unannotated(corpus.pairs)
-        strategy = make_strategy("add-one", occurrence_stats(corpus))
         config = TuneConfig(grid=(0.5, 1.0, 2.0), tolerance=1e-3, max_refine_evals=10)
-        result = tune(
-            corpus, dev, Objective("ml-unannotated"),
-            TrainConfig(iterations=2, strategy=strategy), config,
-        )
+        result = tune(add_one_retrain(corpus, 2), dev, Objective("ml-unannotated"), config)
         assert 0.0 in {lam for lam, _ in result.evaluations}
 
-    def test_annotated_objective_needs_annotations(self, monkeypatch):
-        import alignsmooth.tuner as tuner
-
-        def no_training(*args, **kwargs):
+    def test_annotated_objective_needs_annotations(self):
+        def no_training(lam):
             raise AssertionError("tune trained before refusing a development set without gold")
 
-        monkeypatch.setattr(tuner, "train", no_training)
         corpus = t1_corpus()
-        strategy = make_strategy("add-one", occurrence_stats(corpus))
         for name in ("ml-annotated", "error-count", "smoothed-error-count"):
             with pytest.raises(ValueError, match="requires an annotated development set"):
-                tune(corpus, DevSet.unannotated(corpus.pairs), Objective(name),
-                     TrainConfig(strategy=strategy), small_tune_config())
+                tune(no_training, DevSet.unannotated(corpus.pairs), Objective(name), small_tune_config())
 
     def test_positive_lambda_needs_a_strategy_in_the_config(self):
         corpus = t1_corpus()
         dev = DevSet.unannotated(corpus.pairs)
         with pytest.raises(ValueError, match="a positive lambda needs an adding strategy"):
-            tune(corpus, dev, Objective("ml-unannotated"), TrainConfig(iterations=2), small_tune_config())
+            tune(retrain_on(corpus, TrainConfig(iterations=2)), dev, Objective("ml-unannotated"),
+                 small_tune_config())
 
     def test_all_minus_inf_reports_partial_trace(self):
         # gold links a pair of words that never co-occur; add-dice keeps that
@@ -277,54 +289,36 @@ class TestTune:
         impossible = DevSet(pairs=(impossible_pair,), alignments=((1,),))
         strategy = make_strategy("add-dice", occurrence_stats(corpus))
         with pytest.raises(TuningError):
-            tune(corpus, impossible, Objective("ml-annotated"),
-                 TrainConfig(iterations=2, strategy=strategy), small_tune_config())
-
-    def test_tables_fill_then_replace_retrains(self, monkeypatch):
-        import alignsmooth.tuner as tuner
-
-        corpus = t1_corpus()
-        dev = DevSet.unannotated(corpus.pairs)
-        strategy = make_strategy("add-one", occurrence_stats(corpus))
-        args = (corpus, dev, Objective("ml-unannotated"),
-                TrainConfig(iterations=3, strategy=strategy), small_tune_config())
-        plain = tune(*args)
-        tables = {}
-        assert tune(*args, tables) == plain
-        assert set(tables) == {lam for lam, _ in plain.evaluations}
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("a table in the mapping was retrained")
-
-        monkeypatch.setattr(tuner, "train", no_training)
-        assert tune(*args, tables) == plain
+            tune(retrain_on(corpus, TrainConfig(iterations=2, strategy=strategy)), impossible,
+                 Objective("ml-annotated"), small_tune_config())
 
 
-def test_one_tune_runs_the_first_estep_once(monkeypatch):
+def test_one_tune_runs_the_first_estep_once(monkeypatch, tmp_path):
+    # the caller of tune owns the session: `alignsmooth tune` shares one across its retrains
     import alignsmooth.trainer as trainer
-    import alignsmooth.tuner as tuner
+    from alignsmooth.cli import main
 
     src, tgt, _ = toy_paths()
-    corpus = load_parallel_corpus(src, tgt)
-    dev = DevSet.unannotated(corpus.pairs[:10])
     iterations = 4
-    config = TrainConfig(iterations, strategy=make_strategy("add-dice", occurrence_stats(corpus)))
-    estep_calls, sessions = [], []
+    compiles, estep_calls = [], []
+
+    def counting_compile(corpus):
+        compiles.append(corpus)
+        return real_compile(corpus)
 
     def counting_estep(*args):
         estep_calls.append(1)
         return real_estep(*args)
 
-    def recording_train(corpus, config, session=None):
-        sessions.append(session)
-        return real_train(corpus, config, session)
-
-    real_estep, real_train = trainer._estep, tuner.train
+    real_compile, real_estep = trainer.compile_corpus, trainer._estep
+    monkeypatch.setattr(trainer, "compile_corpus", counting_compile)
     monkeypatch.setattr(trainer, "_estep", counting_estep)
-    monkeypatch.setattr(tuner, "train", recording_train)
-    result = tune(corpus, dev, Objective("ml-unannotated"), config, small_tune_config())
-    retrains = len(result.evaluations)
-    assert len(sessions) == retrains and len({id(s) for s in sessions}) == 1
+    out = tmp_path / "tune.tsv"
+    assert main(["tune", "-s", src, "-t", tgt, "--objective", "ml-unannotated", "--strategy", "add-dice",
+                 "--iters", str(iterations), "--grid", "0,0.1,0.5,1,3", "--tol", "1e-3", "--max-evals", "25",
+                 "-o", str(out)]) == 0
+    retrains = sum(line.startswith("evaluation\t") for line in out.read_text(encoding="utf-8").splitlines())
+    assert retrains > 1 and len(compiles) == 1
     assert len(estep_calls) == 1 + (iterations - 1) * retrains
 
 
@@ -333,6 +327,6 @@ def test_tune_counts_cooc_only_for_add_dice(monkeypatch, name):
     counted = record_cooc_counts(monkeypatch)
     corpus = t1_corpus()
     stats = occurrence_stats(corpus)
-    tune(corpus, DevSet.unannotated(corpus.pairs), Objective("ml-unannotated"),
-         TrainConfig(iterations=2, strategy=make_strategy(name, stats)), small_tune_config())
+    tune(retrain_on(corpus, TrainConfig(iterations=2, strategy=make_strategy(name, stats))),
+         DevSet.unannotated(corpus.pairs), Objective("ml-unannotated"), small_tune_config())
     assert [id(s) for s in counted] == ([id(stats)] if name == "add-dice" else [])
